@@ -2,8 +2,9 @@
 
 Exit codes: 0 the command succeeded and every checked property holds;
 1 a checked property fails (a witness is printed); 2 malformed input;
-3 a configured cap was exceeded.  Output is deterministic for identical
-inputs; all sampling flows from --seed.
+3 a configured cap was exceeded; 4 an internal check failed (a bug: report
+it).  Output is deterministic for identical inputs; all sampling flows from
+--seed.
 """
 
 from __future__ import annotations
@@ -379,6 +380,12 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a VerificationError or any other defect
+        detail = " ".join(str(exc).split())
+        command = " ".join(sys.argv[1:] if argv is None else argv)
+        print(f"internal check failed, report as bug: {type(exc).__name__}: {detail} "
+              f"(command: finreg {command})", file=sys.stderr)
+        return 4
     return code
 
 

@@ -373,7 +373,7 @@ def support_exponent(ring: ProductRing, *, cap: int = TABLE_RING_CAP,
         candidates = ring.elements(cap)
     else:
         rng = rng or random.Random(0)
-        candidates = (ring.random_element(rng) for _ in range(max(samples, 1000)))
+        candidates = (ring.random_element(rng) for _ in range(samples))
     for x in candidates:
         if x ** m != x.support():
             verified = False

@@ -417,33 +417,56 @@ def full_presentation(ring: ProductRing) -> SubringPresentation:
 
 
 def generated_subring(pres: SubringPresentation, cap: int = SUBRING_CAP):
-    """Closure of gens plus {0, 1, -1} under + and *, breadth-first.
+    """The subring generated by gens together with 0, 1 and -1.
 
-    Deterministic: generations are emitted in order, each sorted by the
-    canonical element key.  Exceeding `cap` elements raises CapExceeded.
+    Two phases.  First the multiplicative monoid M: gens plus {1, -1},
+    closed under multiplication by multiplying every new element by each of
+    those seeds.  Then the additive span H of M, one cyclic subgroup at a
+    time: each m in M outside H grows H to H + <m>, the union of the cosets
+    H + j*m for j below the order of m modulo H.  In a finite ring the
+    additive span of a multiplicatively closed set containing 1 is the
+    generated subring.
+
+    Returns the elements sorted by the canonical `sort_key`.  Raises
+    CapExceeded once the subring exceeds `cap` elements: in the monoid phase
+    before M takes a member past `cap`, and in the span phase before the
+    cosets that would take H past `cap` are built.
     """
     ring = pres.ambient
-    seeds = {ring.zero, ring.one, -ring.one}
-    seeds.update(pres.gens)
-    ordered = sorted(seeds, key=lambda e: e.sort_key())
-    known = set(ordered)
-    result = list(ordered)
-    frontier = list(ordered)
+    seeds = tuple({ring.one, -ring.one, *pres.gens})
+    monoid = set(seeds)
+    frontier = seeds
     while frontier:
-        new = set()
+        new = []
         for a in frontier:
-            for b in result:
-                for c in (a + b, a * b):
-                    if c not in known:
-                        new.add(c)
-        if len(known) + len(new) > cap:
-            raise CapExceeded(
-                f"generated subring exceeds {cap} elements; not finitely "
-                f"covered or the cap is too small")
-        frontier = sorted(new, key=lambda e: e.sort_key())
-        known.update(new)
-        result.extend(frontier)
-    return tuple(result)
+            for s in seeds:
+                c = a * s
+                if c not in monoid:
+                    if len(monoid) >= cap:
+                        raise _subring_cap_exceeded(cap)
+                    monoid.add(c)
+                    new.append(c)
+        frontier = new
+    span = [ring.zero]
+    known = {ring.zero}
+    for m in monoid:
+        if m in known:
+            continue
+        shifts = [m]
+        while shifts[-1] + m not in known:
+            shifts.append(shifts[-1] + m)
+        if len(span) * (len(shifts) + 1) > cap:
+            raise _subring_cap_exceeded(cap)
+        cosets = [h + s for s in shifts for h in span]
+        span.extend(cosets)
+        known.update(cosets)
+    span.sort(key=lambda e: e.sort_key())
+    return tuple(span)
+
+
+def _subring_cap_exceeded(cap):
+    return CapExceeded(f"generated subring exceeds {cap} elements; not finitely "
+                       f"covered or the cap is too small")
 
 
 # ---------------------------------------------------------------------------
@@ -511,14 +534,10 @@ def decompose_finite_reduced(elements, *, assume_closed: bool = False):
             for b in elems:
                 if a + b not in index or a * b not in index:
                     raise ValueError("element set is not closed under + and *")
-    # all idempotents of T arise as stabilized powers
-    idems = {}
-    for t in elems:
-        e = idempotent_power(t)
-        idems[e.sort_key()] = e
-    # primitive idempotents: refine 1 along every idempotent
+    # primitive idempotents: refine 1 along every idempotent of T (T lies in
+    # the ambient, where x = x^2 exactly when every value is 0 or 1)
     blocks = [one]
-    for e in sorted(idems.values(), key=lambda x: x.sort_key()):
+    for e in (t for t in elems if t.is_idempotent()):
         nxt = []
         comp = one - e
         for b in blocks:
@@ -541,12 +560,10 @@ def decompose_finite_reduced(elements, *, assume_closed: bool = False):
         p, n = pn
         if _scalar_times(eps, p) != eps.ring.zero:
             raise ValueError("input not reduced: slice characteristic mismatch")
+        # a finite ring with identity eps is a field iff a^(|slice|-1) = eps
+        # for every nonzero a
         for a in slice_elems:
-            if a == eps * 0:
-                continue
-            if not a:
-                continue
-            if not any(a * b == eps for b in slice_elems):
+            if a and a ** (n_slice - 1) != eps:
                 raise ValueError("input not reduced: a slice has a non-invertible nonzero element")
         out.append((eps, FieldClass(p, n)))
         total = total + eps

@@ -226,7 +226,7 @@ def parse_map_lines(ring: ProductRing, lines) -> MapTable:
         x = parse_element(ring, chunks[0].strip())
         y = parse_element(ring, chunks[1].strip())
         if x in mapping:
-            raise ParseError(f"duplicate map entry for {left.strip()!r}", line, 0)
+            raise ParseError(f"duplicate map entry for {chunks[0].strip()!r}", line, 0)
         mapping[x] = y
     return MapTable(ring, mapping)
 

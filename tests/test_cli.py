@@ -117,6 +117,36 @@ def test_exit_code_cap_exceeded(capsys):
     assert code == 3
 
 
+def test_exit_code_duplicate_map_key(capsys, square_file):
+    with open(square_file) as fh:
+        lines = fh.read().splitlines()
+    with open(square_file, "w") as fh:
+        fh.write("\n".join(lines[:2] + lines[1:]) + "\n")  # repeat the first entry
+    code, out, err = run(capsys, "map", "topoly", square_file)
+    assert code == 2 and out == ""
+    assert "duplicate map entry" in err and "Traceback" not in err
+
+
+def test_exit_code_internal_check_failed(capsys, monkeypatch):
+    from finreg import products
+
+    # a residue-field count that disagrees with the decomposition
+    monkeypatch.setattr(products, "residue_field_signature",
+                        lambda pres: products.RingSignature.from_dict({(5, 1): 1}))
+    code, out, err = run(capsys, "ring", "decompose", "GF(3)^[B(atoms=2)]")
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "internal check failed" in err and "VerificationError" in err
+    assert "disagrees with the residue-field count" in err
+
+    def boom(pres, cap):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(products, "generated_subring", boom)
+    code, out, err = run(capsys, "ring", "decompose", "GF(3)^[B(atoms=2)]")
+    assert code == 4 and out == "" and "KeyError" in err and "Traceback" not in err
+
+
 def test_deterministic_output(capsys):
     first = run(capsys, "ring", "decompose", "GF(4)^[B(atoms=2)] x GF(2)^[B(atoms=1)]")
     second = run(capsys, "ring", "decompose", "GF(4)^[B(atoms=2)] x GF(2)^[B(atoms=1)]")

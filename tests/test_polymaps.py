@@ -169,6 +169,20 @@ def test_support_exponent_examples():
     assert (m234, ok234) == (6, True)
 
 
+def test_support_exponent_honours_samples(monkeypatch):
+    R = P((2, 2), (3, 1))
+    drawn = []
+    original = ProductRing.random_element
+
+    def counting(self, rng):
+        drawn.append(1)
+        return original(self, rng)
+
+    monkeypatch.setattr(ProductRing, "random_element", counting)
+    assert support_exponent(R, cap=R.size - 1, samples=7) == (2, True)
+    assert len(drawn) == 7
+
+
 def test_quotient_order_bound():
     rep = quotient_order_bound(P((2, 1), (4, 1)), 3)
     assert rep.bound == 6 and rep.holds_strictly

@@ -1,12 +1,14 @@
 import itertools
+import math
+import random
 
 import pytest
 
 from finreg.boolean import BooleanRing
 from finreg.errors import CapExceeded
 from finreg.fields import GF
-from finreg.products import (ProductRing, RingSignature, SubringPresentation,
-                             char_decompose, decompose_finite_reduced,
+from finreg.products import (ProductElem, ProductRing, RingSignature,
+                             SubringPresentation, char_decompose, decompose_finite_reduced,
                              extract_combination, full_presentation,
                              generated_subring, idempotent_power, iso_test,
                              residue_field_signature, ring_char,
@@ -62,6 +64,77 @@ def test_generated_subring_cap():
     R = P((4, 2))
     with pytest.raises(CapExceeded):
         generated_subring(full_presentation(R), cap=3)
+
+
+def _all_pairs_closure(pres, cap):
+    """Reference: close gens plus {0, 1, -1} under + and * by combining every
+    new element with everything found so far."""
+    ring = pres.ambient
+    known = {ring.zero, ring.one, -ring.one, *pres.gens}
+    frontier = list(known)
+    while frontier:
+        new = set()
+        for a in frontier:
+            for b in list(known):
+                new.update(c for c in (a + b, a * b) if c not in known)
+            if len(known) + len(new) > cap:
+                raise CapExceeded(f"closure exceeds {cap}")
+        known.update(new)
+        frontier = list(new)
+    return known
+
+
+SHAPES = [shape for k in (1, 2, 3)
+          for shape in itertools.combinations_with_replacement(
+              [(q, m) for q in (2, 3, 4, 5, 7, 8, 9) for m in (1, 2, 3)], k)
+          if math.prod(q ** m for q, m in shape) <= 256]
+
+
+def test_generated_subring_matches_all_pairs_closure():
+    rng = random.Random(20240801)
+    sizes = []
+    for _ in range(30):
+        R = P(*rng.choice(SHAPES))
+        pres = SubringPresentation(R, tuple(R.random_element(rng)
+                                            for _ in range(rng.randint(1, 2))))
+        try:
+            expected = _all_pairs_closure(pres, cap=200)
+        except CapExceeded:
+            with pytest.raises(CapExceeded):
+                generated_subring(pres, cap=200)
+            continue
+        T = generated_subring(pres, cap=200)
+        assert set(T) == expected
+        assert len(T) == len(expected)  # no duplicates
+        keys = [t.sort_key() for t in T]
+        assert keys == sorted(keys)
+        sizes.append(len(T))
+    assert len(sizes) >= 20 and max(sizes) > 150  # the draw reaches large subrings
+
+
+def test_generated_subring_cap_in_monoid_phase(monkeypatch):
+    # the powers of 3 in GF(7) are its six units: the monoid alone exceeds 4
+    R = P((7, 1))
+    pres = SubringPresentation(R, (R.scalar(3),))
+    assert len(generated_subring(pres)) == 7
+
+    def no_addition(self, other):
+        raise AssertionError("the span phase was entered")
+
+    monkeypatch.setattr(ProductElem, "__add__", no_addition)
+    with pytest.raises(CapExceeded):
+        generated_subring(pres, cap=4)
+
+
+def test_generated_subring_cap_in_span_phase():
+    # the monoid of the prime subring of GF(7) is {1, -1}; its span has 7 elements
+    R = P((7, 1))
+    pres = SubringPresentation(R, ())
+    assert len(generated_subring(pres, cap=7)) == 7
+    with pytest.raises(CapExceeded):
+        generated_subring(pres, cap=6)
+    with pytest.raises(CapExceeded):
+        generated_subring(pres, cap=2)
 
 
 def test_idempotent_power_examples():

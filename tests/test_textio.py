@@ -94,6 +94,13 @@ def test_map_lines_roundtrip():
         tio.parse_map_lines(ring, ["nonsense"])
 
 
+def test_map_lines_duplicate_key():
+    ring = tio.parse_ring("GF(2)^[B(atoms=2)]")
+    lines = tio.format_map(MapTable.from_function(ring, lambda x: x)).splitlines()
+    with pytest.raises(ParseError, match="duplicate map entry"):
+        tio.parse_map_lines(ring, lines + lines[:1])
+
+
 def test_workspace_roundtrip():
     rng = random.Random(51)
     ring = tio.parse_ring("GF(4)^[B(atoms=1)] x GF(2)^[B(atoms=1)]")
