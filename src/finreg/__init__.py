@@ -21,10 +21,7 @@ from .products import (CharBlock, FieldClass, ProductElem, ProductRing, RingSign
                        decompose_finite_reduced, full_presentation, generated_subring,
                        idempotent_power, iso_test, residue_field_signature, ring_char,
                        ring_from_signature, structure_decompose)
-from .stepfun import (ConvexCombination, CoverReport, StepElem, StepRing,
-                      convex_combination)
-from .stepfun import check_residue_cover as step_residue_cover
-from .stepfun import extract_combination as step_extract
+from .stepfun import ConvexCombination, CoverReport, StepElem, StepRing
 from .products import check_residue_cover, extract_combination
 from .textio import Workspace
 

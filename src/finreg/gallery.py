@@ -251,7 +251,9 @@ def tower_build(q: int, n_atoms: int) -> TowerRing:
     """Tower with doubling degrees: fields of order q, q^2, q^4, ..., q^(2^N)."""
     if q not in (2, 3):
         raise ValueError(f"tower characteristic must be 2 or 3, got {q}")
-    if not 1 <= n_atoms <= TOWER_N_CAP:
+    if n_atoms < 1:
+        raise ValueError(f"tower size must be at least 1, got {n_atoms}")
+    if n_atoms > TOWER_N_CAP:
         raise CapExceeded(f"tower size must be between 1 and {TOWER_N_CAP}, got {n_atoms}")
     degrees = [1 << i for i in range(n_atoms + 1)]
     fields = [finite_field(q, d, degree_cap=max(d, 16)) for d in degrees]

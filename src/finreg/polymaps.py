@@ -74,7 +74,7 @@ class PolyMap:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ring, self.coeffs))
+        return hash(self.coeffs)
 
     def __str__(self):
         return "poly[" + "; ".join(str(c) for c in self.coeffs) + "]"

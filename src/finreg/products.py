@@ -1,7 +1,13 @@
 """Finite products of step-function rings and the structure-theorem pipeline.
 
 A ProductRing is the ambient for everything downstream: a tuple of
-(field, Boolean ring) factors, with elements operated on componentwise.  A
+(field, Boolean ring) factors, with elements operated on componentwise.
+Every algorithm that works prime by prime has its one implementation in
+`stepfun` and runs here factor by factor: element enumeration (factor 0
+varies fastest) and indexing, convex combinations, the extraction
+coefficient masks, and the residue coverage behind `check_residue_cover`,
+which is re-exported from `stepfun`.  Product rings are interned on their
+tuple of (interned) step-ring factors, so ring equality is identity.  A
 presentation names a subring inside such an ambient: the convex span (over
 the ambient's full idempotent algebra) of the subring generated by the given
 elements together with 0, 1, -1.
@@ -18,28 +24,34 @@ idempotent; an independent per-atom residue-field count cross-checks it.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 
 from .boolean import BooleanRing
 from .errors import CapExceeded, VerificationError
 from .fields import FieldElem, FiniteField, finite_field
-from .stepfun import ConvexCombination, StepElem, StepRing
+# check_residue_cover serves step and product rings alike; it is re-exported here
+from .stepfun import (ENUM_CAP, PRODUCT_CHECK_CAP, ConvexCombination, StepElem, StepRing,
+                      check_residue_cover, extraction_masks)
+from .zmodpoly import prime_power
 
-ENUM_CAP = 1 << 20
-PRODUCT_CHECK_CAP = 4096
 SUBRING_CAP = 10 ** 6
+
+_PRODUCT_RINGS: dict = {}
 
 
 class ProductRing:
-    """A finite product of step-function ring factors."""
+    """A finite product of step-function ring factors.
+
+    Factors are StepRings or (field, Boolean ring or atom count) pairs.
+    Interned on the tuple of StepRing factors, so ring equality is identity.
+    """
 
     __slots__ = ("factors", "_elem_list")
 
-    def __init__(self, factors):
-        factors = tuple(factors)
-        if not factors:
-            raise ValueError("a product ring needs at least one factor")
+    def __new__(cls, factors):
         norm = []
         for f in factors:
             if isinstance(f, StepRing):
@@ -49,16 +61,15 @@ class ProductRing:
                 if isinstance(br, int):
                     br = BooleanRing(br)
                 norm.append(StepRing(field, br))
-        self.factors = tuple(norm)
-        self._elem_list = None
-
-    def __eq__(self, other):
-        if isinstance(other, ProductRing):
-            return self.factors == other.factors
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.factors)
+        if not norm:
+            raise ValueError("a product ring needs at least one factor")
+        key = tuple(norm)
+        ring = _PRODUCT_RINGS.get(key)
+        if ring is None:
+            ring = _PRODUCT_RINGS[key] = super().__new__(cls)
+            ring.factors = key
+            ring._elem_list = None
+        return ring
 
     def __str__(self):
         return " x ".join(str(f) for f in self.factors)
@@ -118,7 +129,7 @@ class ProductRing:
 
     def coerce(self, v) -> "ProductElem":
         if isinstance(v, ProductElem):
-            if v.ring != self:
+            if v.ring is not self:
                 raise ValueError(f"element of {v.ring} used in {self}")
             return v
         if isinstance(v, int):
@@ -140,17 +151,15 @@ class ProductRing:
         return self.factors[label[0]].field
 
     def elements(self, cap: int = ENUM_CAP):
+        """All elements in mixed-radix order of the factors' own orders:
+        factor 0 varies fastest, so the position is `element_index`."""
         if self.size > cap:
             raise CapExceeded(f"{self} has {self.size} elements, above the cap {cap}")
-        sizes = [f.size for f in self.factors]
-        for idx in range(self.size):
-            parts = []
-            t = idx
-            for f, s in zip(self.factors, sizes):
-                sub = t % s
-                t //= s
-                parts.append(_step_from_index(f, sub))
-            yield ProductElem(self, tuple(parts))
+        first, *rest = self.factors
+        for tail in itertools.product(*(f.elements() for f in reversed(rest))):
+            tail = tail[::-1]
+            for head in first.elements():
+                yield ProductElem(self, (head, *tail))
 
     def cached_elements(self, cap: int = PRODUCT_CHECK_CAP):
         if self._elem_list is None or len(self._elem_list) > cap:
@@ -183,54 +192,19 @@ class ProductRing:
         return ProductElem(self, tuple(f.random_element(rng) for f in self.factors))
 
     def convex(self, coeffs, values) -> "ProductElem":
-        profiles = _coeff_profiles(self, coeffs)
+        """Sum a_i * x_i for a complete orthogonal idempotent family (a_i),
+        factor by factor through StepRing.convex."""
+        coeffs = [self.coerce(c) for c in coeffs]
         values = [self.coerce(v) for v in values]
-        if len(profiles) != len(values):
-            raise ValueError("coefficient and value sequences differ in length")
-        parts = []
-        for i, f in enumerate(self.factors):
-            pairs = []
-            for prof, val in zip(profiles, values):
-                mask = prof[i]
-                if not mask:
-                    continue
-                for bmask, bval in val.parts[i].blocks:
-                    m = bmask & mask
-                    if m:
-                        pairs.append((m, bval))
-            parts.append(f.from_blocks(pairs))
-        return ProductElem(self, tuple(parts))
+        return ProductElem(self, tuple(
+            f.convex([c.parts[i] for c in coeffs], [v.parts[i] for v in values])
+            for i, f in enumerate(self.factors)))
 
-
-def _step_from_index(ring: StepRing, idx: int) -> StepElem:
-    q = ring.field.q
-    vals = []
-    for _ in range(ring.bool_ring.atom_count):
-        vals.append(ring.field.from_index(idx % q))
-        idx //= q
-    return ring.from_values(vals)
-
-
-def _coeff_profiles(ring: ProductRing, coeffs):
-    profiles = []
-    fulls = [f.bool_ring.full_mask for f in ring.factors]
-    unions = [0] * len(ring.factors)
-    totals = [0] * len(ring.factors)
-    for c in coeffs:
-        c = ring.coerce(c)
-        prof = c.support_profile()
-        if not c.is_idempotent():
-            raise ValueError(f"coefficient {c} is not idempotent")
-        profiles.append(prof)
-        for i, m in enumerate(prof):
-            unions[i] |= m
-            totals[i] += m.bit_count()
-    if not profiles:
-        raise ValueError("empty coefficient family")
-    for i, f in enumerate(ring.factors):
-        if unions[i] != fulls[i] or totals[i] != f.bool_ring.atom_count:
-            raise ValueError("coefficients do not form a complete orthogonal idempotent family")
-    return profiles
+    def missing_residues(self, gens):
+        """(factor, atom, value) for every field value no generator takes at
+        that prime."""
+        return [(i, *entry) for i, f in enumerate(self.factors)
+                for entry in f.missing_residues([g.parts[i] for g in gens])]
 
 
 class ProductElem:
@@ -243,7 +217,7 @@ class ProductElem:
 
     def _coerce(self, other):
         if isinstance(other, ProductElem):
-            if other.ring != self.ring:
+            if other.ring is not self.ring:
                 raise ValueError(f"mixed rings: {self.ring} vs {other.ring}")
             return other
         if isinstance(other, int):
@@ -302,7 +276,7 @@ class ProductElem:
 
     def __eq__(self, other):
         if isinstance(other, ProductElem):
-            return self.parts == other.parts and self.ring == other.ring
+            return self.parts == other.parts and self.ring is other.ring
         return NotImplemented
 
     def __hash__(self):
@@ -318,76 +292,18 @@ class ProductElem:
 
 
 # ---------------------------------------------------------------------------
-# extraction and cover checks on products
+# the constructive extraction on products
 
 
 def extract_combination(x: ProductElem, gens) -> ConvexCombination:
-    """Product-ring version of the constructive convex extraction."""
+    """Write x = sum a_i x_i over the given family, constructively: the
+    coefficient masks of `stepfun.extraction_masks`, factor by factor."""
     ring = x.ring
     gens = [ring.coerce(g) for g in gens]
-    fulls = tuple(f.bool_ring.full_mask for f in ring.factors)
-    b_profiles = [(x - g).support_profile() for g in gens]
-    running = list(fulls)
-    for prof in b_profiles:
-        for i, m in enumerate(prof):
-            running[i] &= m
-    for i, m in enumerate(running):
-        if m:
-            atom = (m & -m).bit_length() - 1
-            raise ValueError(
-                f"family does not reach {x} at factor {i}, atom {atom}: value "
-                f"{x.value_at((i, atom))} is not attained by any generator there")
-    coeffs = []
-    running = list(fulls)
-    for prof in b_profiles:
-        coeff_prof = tuple((fulls[i] ^ prof[i]) & running[i] for i in range(len(fulls)))
-        coeffs.append(ring.from_profile(coeff_prof))
-        for i, m in enumerate(prof):
-            running[i] &= m
-    return ConvexCombination(tuple(coeffs), tuple(gens))
-
-
-def check_residue_cover(ring: ProductRing, gens, *, product_cap: int = PRODUCT_CHECK_CAP,
-                        product_samples: int = 256, rng: random.Random | None = None):
-    """Residue coverage at every prime of the product; see the step-ring twin.
-
-    Missing entries are (factor, atom, value) triples.
-    """
-    from .stepfun import CoverReport
-
-    gens = [ring.coerce(g) for g in gens]
-    missing = []
-    for i, f in enumerate(ring.factors):
-        for atom in range(f.bool_ring.atom_count):
-            residues = {g.parts[i].value_at(atom).index for g in gens}
-            if len(residues) != f.field.q:
-                for v in f.field.elements():
-                    if v.index not in residues:
-                        missing.append((i, atom, v))
-    ok = not missing
-    exhaustive = ring.size <= product_cap
-    checked = 0
-    product_ok = True
-    if exhaustive:
-        candidates = ring.elements(product_cap)
-    elif product_samples <= 0:
-        candidates = ()
-    else:
-        rng = rng or random.Random(0)
-        candidates = (ring.random_element(rng) for _ in range(product_samples))
-    for x in candidates:
-        acc = ring.one
-        for g in gens:
-            acc = acc * (x - g)
-            if not acc:
-                break
-        checked += 1
-        if acc:
-            product_ok = False
-            break
-    if product_ok != ok and exhaustive:
-        raise VerificationError("residue coverage and vanishing product disagree")
-    return CoverReport(ok, tuple(missing), product_ok, exhaustive, checked)
+    columns = [extraction_masks(part, [g.parts[i] for g in gens], whole=x, factor=i)
+               for i, part in enumerate(x.parts)]
+    coeffs = tuple(ring.from_profile(profile) for profile in zip(*columns))
+    return ConvexCombination(coeffs, tuple(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +470,7 @@ def decompose_finite_reduced(elements, *, assume_closed: bool = False):
             raise VerificationError("primitive idempotent escaped the subring")
         slice_elems = {t * eps for t in elems}
         n_slice = len(slice_elems)
-        pn = _prime_power_or_none(n_slice)
+        pn = prime_power(n_slice)
         if pn is None:
             raise ValueError("input not reduced: a slice has non-prime-power order")
         p, n = pn
@@ -584,12 +500,6 @@ def _scalar_times(x: ProductElem, k: int) -> ProductElem:
     for _ in range(k):
         acc = acc + x
     return acc
-
-
-def _prime_power_or_none(n):
-    from . import zmodpoly as zp
-
-    return zp.prime_power(n)
 
 
 # ---------------------------------------------------------------------------
@@ -685,15 +595,9 @@ def residue_field_signature(pres: SubringPresentation) -> RingSignature:
         for atom in range(f.bool_ring.atom_count):
             d = 1
             for g in pres.gens:
-                d = _lcm(d, g.parts[i].value_at(atom).residue_degree())
+                d = math.lcm(d, g.parts[i].value_at(atom).residue_degree())
             counts[(p, d)] = counts.get((p, d), 0) + 1
     return RingSignature.from_dict(counts)
-
-
-def _lcm(a, b):
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 def iso_test(p1: SubringPresentation, p2: SubringPresentation, cap: int = SUBRING_CAP) -> bool:

@@ -20,8 +20,6 @@ from .polymaps import (MapTable, PolyMap, commutes_with_conv, contractive_maps,
 from .products import (ProductRing, RingSignature, SubringPresentation, decompose_finite_reduced,
                        char_decompose, full_presentation, generated_subring,
                        ring_from_signature, structure_decompose)
-from .products import check_residue_cover as product_cover
-from .products import extract_combination as product_extract
 from .stepfun import StepRing, check_residue_cover, extract_combination
 from . import textio as tio
 

@@ -15,6 +15,14 @@ principal ideal) is the indicator of where x is nonzero; the quasi-inverse
 inverts x blockwise on its support.  Convex combinations (coefficients a
 complete orthogonal family of idempotents) and their constructive extraction
 against a generating family are the workhorses of everything downstream.
+
+This module is the one home of the per-factor algorithms; `products` runs
+them factor by factor.  Here live the element enumeration and indexing, the
+convex combination (`StepRing.convex`), the extraction coefficient masks
+(`extraction_masks`), the per-atom residue coverage
+(`StepRing.missing_residues`), the residue-cover check for step and product
+rings alike (`check_residue_cover`), and the caps `ENUM_CAP` and
+`PRODUCT_CHECK_CAP`.  Step rings are interned, so ring equality is identity.
 """
 
 from __future__ import annotations
@@ -29,24 +37,26 @@ from .fields import FieldElem, FiniteField
 ENUM_CAP = 1 << 20
 PRODUCT_CHECK_CAP = 4096
 
+_STEP_RINGS: dict = {}
+
 
 class StepRing:
-    """K-valued step functions over a fixed finite Boolean ring of atoms."""
+    """K-valued step functions over a fixed finite Boolean ring of atoms.
 
-    __slots__ = ("field", "bool_ring", "_elem_list")
+    Interned like `finite_field`: one object per (field, atom count), so two
+    step rings are equal exactly when they are the same object.
+    """
 
-    def __init__(self, field: FiniteField, bool_ring: BooleanRing):
-        self.field = field
-        self.bool_ring = bool_ring
-        self._elem_list = None
+    __slots__ = ("field", "bool_ring")
 
-    def __eq__(self, other):
-        if isinstance(other, StepRing):
-            return self.field == other.field and self.bool_ring == other.bool_ring
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.n, self.bool_ring.atom_count))
+    def __new__(cls, field: FiniteField, bool_ring: BooleanRing):
+        key = (field, bool_ring.atom_count)
+        ring = _STEP_RINGS.get(key)
+        if ring is None:
+            ring = _STEP_RINGS[key] = super().__new__(cls)
+            ring.field = field
+            ring.bool_ring = bool_ring
+        return ring
 
     def __str__(self):
         return f"GF({self.field.q})^[{self.bool_ring}]"
@@ -142,7 +152,7 @@ class StepRing:
 
     def coerce(self, v) -> "StepElem":
         if isinstance(v, StepElem):
-            if v.ring != self:
+            if v.ring is not self:
                 raise ValueError(f"element of {v.ring} used in {self}")
             return v
         if isinstance(v, (FieldElem, int)):
@@ -164,13 +174,6 @@ class StepRing:
                 vals.append(self.field.from_index(t % q))
                 t //= q
             yield self.from_values(vals)
-
-    def cached_elements(self, cap: int = PRODUCT_CHECK_CAP):
-        if self._elem_list is None or len(self._elem_list) > cap:
-            if self.size > cap:
-                raise CapExceeded(f"{self} has {self.size} elements, above the cap {cap}")
-            self._elem_list = tuple(self.elements(cap))
-        return self._elem_list
 
     def element_index(self, x: "StepElem") -> int:
         q = self.field.q
@@ -212,6 +215,16 @@ class StepRing:
                     pairs.append((m, bval))
         return self.from_blocks(pairs)
 
+    def missing_residues(self, gens):
+        """(atom, value) for every field value no generator takes at that atom."""
+        missing = []
+        for atom in range(self.bool_ring.atom_count):
+            residues = {g.value_at(atom).index for g in gens}
+            if len(residues) != self.field.q:
+                missing.extend((atom, v) for v in self.field.elements()
+                               if v.index not in residues)
+        return missing
+
 
 def _coeff_masks(ring, coeffs):
     """Masks of a coefficient family; validates it is a partition of unity."""
@@ -224,12 +237,11 @@ def _coeff_masks(ring, coeffs):
                 raise ValueError("coefficient over a different Boolean ring")
             mask = c.mask
         elif isinstance(c, StepElem):
-            if c.ring != ring:
+            if c.ring is not ring:
                 raise ValueError("coefficient from a different ring")
-            b = c.as_bool_elem()
-            if b is None:
+            if not c.is_idempotent():
                 raise ValueError(f"coefficient {c} is not idempotent")
-            mask = b.mask
+            mask = c.support_mask_int()
         else:
             raise TypeError(f"bad coefficient {c!r}")
         masks.append(mask)
@@ -256,7 +268,7 @@ class StepElem:
     def _combine(self, other, op):
         if not isinstance(other, StepElem):
             other = self.ring.coerce(other)
-        elif other.ring != self.ring:
+        elif other.ring is not self.ring:
             raise ValueError(f"mixed rings: {self.ring} vs {other.ring}")
         acc = {}
         for ma, va in self.blocks:
@@ -359,7 +371,7 @@ class StepElem:
 
     def __eq__(self, other):
         if isinstance(other, StepElem):
-            return (self._hash == other._hash and self.ring == other.ring
+            return (self._hash == other._hash and self.ring is other.ring
                     and len(self.blocks) == len(other.blocks)
                     and all(ma == mb and va == vb for (ma, va), (mb, vb)
                             in zip(self.blocks, other.blocks)))
@@ -396,36 +408,42 @@ class ConvexCombination:
         return ring.convex(self.coeffs, self.values)
 
 
-def convex_combination(ring: StepRing, coeffs, values) -> StepElem:
-    return ring.convex(coeffs, values)
+def extraction_masks(x: StepElem, gens, *, whole=None, factor=None) -> list:
+    """Masks of the coefficients a_i = (1 - b_i) * prod_{j<i} b_j, where b_i
+    is the support of x - g_i, for step elements of one ring.
+
+    Raises ValueError at the first atom where no generator takes the value of
+    x.  A product caller passes its whole element and the factor index, so
+    the message names them.
+    """
+    full = x.ring.bool_ring.full_mask
+    masks = []
+    running = full
+    for g in gens:
+        b = (x - g).support_mask_int()
+        masks.append((full ^ b) & running)
+        running &= b
+    if running:
+        atom = (running & -running).bit_length() - 1
+        where = f"atom {atom}" if factor is None else f"factor {factor}, atom {atom}"
+        raise ValueError(
+            f"family does not reach {x if whole is None else whole} at {where}: value "
+            f"{x.value_at(atom)} is not attained by any generator there")
+    return masks
 
 
 def extract_combination(x: StepElem, gens) -> ConvexCombination:
     """Write x = sum a_i x_i over the given family, constructively.
 
-    b_i is the support of x - x_i and a_i = (1 - b_i) * prod_{j<i} b_j; zero
-    coefficients are retained and the order follows the input family, so the
-    output is reproducible bit for bit.  Fails if some atom's value is not
-    attained by any generator there.
+    The coefficients are those of `extraction_masks`; zero coefficients are
+    retained and the order follows the input family, so the output is
+    reproducible bit for bit.  Fails if some atom's value is not attained by
+    any generator there.
     """
     ring = x.ring
     gens = [ring.coerce(g) for g in gens]
-    full = ring.bool_ring.full_mask
-    b_masks = [(x - g).support_mask_int() for g in gens]
-    running = full
-    for b in b_masks:
-        running &= b
-    if running:
-        atom = (running & -running).bit_length() - 1
-        raise ValueError(
-            f"family does not reach {x} at atom {atom}: value "
-            f"{x.value_at(atom)} is not attained by any generator there")
-    coeffs = []
-    running = full
-    for b in b_masks:
-        coeffs.append(ring.bool_ring.from_mask((full ^ b) & running))
-        running &= b
-    return ConvexCombination(tuple(coeffs), tuple(gens))
+    coeffs = tuple(ring.bool_ring.from_mask(m) for m in extraction_masks(x, gens))
+    return ConvexCombination(coeffs, tuple(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -446,25 +464,17 @@ class CoverReport:
         return self.ok
 
 
-def check_residue_cover(ring: StepRing, gens, *, product_cap: int = PRODUCT_CHECK_CAP,
+def check_residue_cover(ring, gens, *, product_cap: int = PRODUCT_CHECK_CAP,
                         product_samples: int = 256, rng: random.Random | None = None) -> CoverReport:
     """Decide whether the family hits every value of every residue field.
 
-    The per-atom residue coverage is the decision procedure; the vanishing of
-    prod (x - g) over the whole ring is cross-checked exhaustively when the
+    `ring` is a StepRing or a ProductRing.  The residue coverage at every
+    prime (`ring.missing_residues`) is the decision procedure; the vanishing
+    of prod (x - g) over the whole ring is cross-checked exhaustively when the
     ring is small enough, on a seeded sample otherwise.
     """
     gens = [ring.coerce(g) for g in gens]
-    missing = []
-    all_values = None
-    for atom in range(ring.bool_ring.atom_count):
-        residues = {g.value_at(atom).index for g in gens}
-        if len(residues) != ring.field.q:
-            if all_values is None:
-                all_values = list(ring.field.elements())
-            for v in all_values:
-                if v.index not in residues:
-                    missing.append((atom, v))
+    missing = tuple(ring.missing_residues(gens))
     ok = not missing
     exhaustive = ring.size <= product_cap
     checked = 0
@@ -488,4 +498,4 @@ def check_residue_cover(ring: StepRing, gens, *, product_cap: int = PRODUCT_CHEC
             break
     if product_ok != ok and exhaustive:
         raise VerificationError("residue coverage and vanishing product disagree")
-    return CoverReport(ok, tuple(missing), product_ok, exhaustive, checked)
+    return CoverReport(ok, missing, product_ok, exhaustive, checked)

@@ -117,6 +117,13 @@ def test_exit_code_cap_exceeded(capsys):
     assert code == 3
 
 
+def test_exit_codes_for_tower_size(capsys):
+    code, out, err = run(capsys, "demo", "tower", "--q", "2", "--n", "0")
+    assert code == 2 and out == "" and "input error" in err and "Traceback" not in err
+    code, out, err = run(capsys, "demo", "tower", "--q", "2", "--n", "7")
+    assert code == 3 and out == "" and "cap exceeded" in err and "Traceback" not in err
+
+
 def test_exit_code_duplicate_map_key(capsys, square_file):
     with open(square_file) as fh:
         lines = fh.read().splitlines()

@@ -13,6 +13,7 @@ from finreg.products import (ProductElem, ProductRing, RingSignature,
                              generated_subring, idempotent_power, iso_test,
                              residue_field_signature, ring_char,
                              ring_from_signature, structure_decompose)
+from finreg import products, stepfun
 from finreg.stepfun import StepRing
 
 
@@ -288,3 +289,134 @@ def test_alternative_generating_sets():
     s1, _ = structure_decompose(one_gen)
     s2, _ = structure_decompose(other_gen)
     assert s1 == s2 == both
+
+
+# -- interning ----------------------------------------------------------------
+
+def test_product_rings_are_interned():
+    assert ProductRing([(GF(2), 1)]) is ProductRing([StepRing(GF(2), BooleanRing(1))])
+    R = P((2, 1), (3, 2))
+    assert ProductRing(R.factors) is R
+    assert ProductRing(f for f in [(GF(2), BooleanRing(1)), (GF(3), 2)]) is R
+    assert ProductRing([(GF(3), 2), (GF(2), 1)]) is not R  # factor order matters
+    assert "__eq__" not in vars(ProductRing) and "__hash__" not in vars(ProductRing)
+
+
+def test_char_decompose_subring_is_the_interned_sub_product():
+    R = P((2, 1), (3, 2), (4, 1))
+    blocks = char_decompose(R)
+    assert blocks[0].subring is P((2, 1), (4, 1))
+    assert blocks[1].subring is P((3, 2))
+
+
+# -- the product paths against the formulas they replaced ----------------------
+
+FACTOR_SHAPES = (((2, 1),), ((3, 2),), ((2, 1), (3, 1)), ((4, 1), (2, 2)),
+          ((2, 2), (3, 1), (5, 1)), ((3, 1), (2, 1), (2, 1)))
+
+
+def reference_elements(ring):
+    """Mixed radix over the factor orders, factor 0 and atom 0 least significant."""
+    for idx in range(ring.size):
+        parts = []
+        for f in ring.factors:
+            idx, sub = divmod(idx, f.size)
+            values = []
+            for _ in range(f.bool_ring.atom_count):
+                sub, v = divmod(sub, f.field.q)
+                values.append(f.field.from_index(v))
+            parts.append(f.from_values(values))
+        yield ring.element(parts)
+
+
+def reference_coefficient_profiles(x, gens):
+    """a_i = (1 - b_i) * prod_{j<i} b_j on whole support profiles."""
+    fulls = [f.bool_ring.full_mask for f in x.ring.factors]
+    running = list(fulls)
+    out = []
+    for g in gens:
+        b = (x - g).support_profile()
+        out.append(tuple((full ^ m) & r for full, m, r in zip(fulls, b, running)))
+        running = [r & m for r, m in zip(running, b)]
+    return out
+
+
+def reference_convex(ring, coeffs, values):
+    profiles = [c.support_profile() for c in coeffs]
+    parts = []
+    for i, f in enumerate(ring.factors):
+        pairs = [(bmask & prof[i], bval) for prof, val in zip(profiles, values)
+                 for bmask, bval in val.parts[i].blocks if bmask & prof[i]]
+        parts.append(f.from_blocks(pairs))
+    return ring.element(parts)
+
+
+@pytest.mark.parametrize("shape", FACTOR_SHAPES, ids=str)
+def test_product_enumeration_order_and_index(shape):
+    R = P(*shape)
+    elems = list(R.elements())
+    assert elems == list(reference_elements(R))
+    assert [R.element_index(x) for x in elems] == list(range(R.size))
+    assert R.cached_elements() == tuple(elems)
+
+
+@pytest.mark.parametrize("shape", FACTOR_SHAPES[2:], ids=str)
+def test_product_extraction_matches_per_factor_step_masks(shape):
+    R = P(*shape)
+    rng = random.Random(len(shape))
+    base = list(full_presentation(R).gens)
+    families = [base, base[::-1], [R.random_element(rng) for _ in range(3)] + base]
+    for gens in families:
+        for x in R.elements():
+            combo = extract_combination(x, gens)
+            profiles = [c.support_profile() for c in combo.coeffs]
+            assert all(c.is_idempotent() for c in combo.coeffs)
+            assert profiles == reference_coefficient_profiles(x, gens)
+            step_masks = [
+                [c.mask for c in stepfun.extract_combination(
+                    part, [g.parts[i] for g in gens]).coeffs]
+                for i, part in enumerate(x.parts)]
+            assert profiles == list(zip(*step_masks))
+            assert combo.evaluate(R) == x
+
+
+@pytest.mark.parametrize("shape", FACTOR_SHAPES[2:], ids=str)
+def test_product_convex_matches_the_reference_formula(shape):
+    R = P(*shape)
+    rng = random.Random(7)
+    for _ in range(40):
+        k = rng.randint(1, 4)
+        owner = {label: rng.randrange(k) for label in R.prime_labels()}
+        coeffs = [R.from_profile(
+            [sum(1 << j for j in range(f.bool_ring.atom_count) if owner[(i, j)] == c)
+             for i, f in enumerate(R.factors)]) for c in range(k)]
+        values = [R.random_element(rng) for _ in range(k)]
+        assert R.convex(coeffs, values) == reference_convex(R, coeffs, values)
+
+
+def test_product_extraction_error_names_factor_and_atom():
+    R = P((2, 1), (3, 2))
+    x = R.element([1, R.factors[1].from_values([0, 2])])
+    expected = ("family does not reach ({[all]->1} | {[0]->0; [1]->2}) at factor 1, "
+                "atom 1: value 2 is not attained by any generator there")
+    with pytest.raises(ValueError) as info:
+        extract_combination(x, [0, 1])
+    assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("q, atoms", [(2, 2), (3, 2), (4, 1)])
+def test_product_cover_check_agrees_with_the_step_ring(q, atoms):
+    S = StepRing(GF(q), BooleanRing(atoms))
+    R = ProductRing([S])
+    scalars = [S.scalar(k) for k in S.field.elements()]
+    for r in range(len(scalars) + 1):
+        for subset in itertools.combinations(scalars, r):
+            for kwargs in ({}, {"product_cap": 1, "product_samples": 5}):
+                step = stepfun.check_residue_cover(S, subset, rng=random.Random(r), **kwargs)
+                prod = products.check_residue_cover(R, subset, rng=random.Random(r), **kwargs)
+                assert (prod.ok, prod.product_ok, prod.product_checked,
+                        prod.product_exhaustive) == (step.ok, step.product_ok,
+                                                     step.product_checked,
+                                                     step.product_exhaustive)
+                assert prod.missing == tuple((0, *entry) for entry in step.missing)
+                assert all(len(entry) == 2 for entry in step.missing)

@@ -5,8 +5,7 @@ import pytest
 
 from finreg.boolean import BooleanRing
 from finreg.fields import GF
-from finreg.stepfun import (StepRing, check_residue_cover, convex_combination,
-                            extract_combination)
+from finreg.stepfun import StepRing, check_residue_cover, extract_combination
 
 
 def ring(q, atoms):
@@ -215,3 +214,11 @@ def test_mixed_ring_errors():
         ring(3, 2).one + ring(3, 3).one
     with pytest.raises(ValueError):
         ring(3, 2).one + ring(5, 2).one
+
+
+def test_step_rings_are_interned():
+    assert StepRing(GF(3), BooleanRing(2)) is StepRing(GF(3), BooleanRing(2))
+    assert ring(3, 2) is not ring(3, 3) and ring(3, 2) is not ring(9, 2)
+    assert "__eq__" not in vars(StepRing) and "__hash__" not in vars(StepRing)
+    # element hashes are value-based, so they agree across processes
+    assert hash(ring(3, 2).from_values([1, 2])) == hash(ring(3, 2).from_values([1, 2]))
