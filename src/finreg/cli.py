@@ -24,6 +24,7 @@ from .products import (ProductRing, SubringPresentation, char_decompose,
                        check_residue_cover, full_presentation, iso_test,
                        ring_char, structure_decompose)
 from .selftest import run_selftest
+from .stepfun import size_text
 from . import textio as tio
 
 
@@ -80,9 +81,10 @@ def cmd_ring_new(args):
     print(f"ring {ring}")
     print(f"factors {len(ring.factors)}")
     print(f"atoms {ring.total_atoms}")
-    print(f"size {ring.size}")
+    size = size_text(ring.factors)
+    print(f"size {size}")
     print(f"char {ring.char}")
-    _summary([f"ring {ring}", f"size {ring.size}", f"char {ring.char}"])
+    _summary([f"ring {ring}", f"size {size}", f"char {ring.char}"])
     return 0
 
 

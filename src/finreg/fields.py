@@ -3,9 +3,16 @@
 Every field is presented by the lexicographically least irreducible monic
 modulus (constant coefficient varying fastest), so element coefficient
 vectors mean the same thing across runs and processes.  Elements are
-immutable; fields up to 2^16 elements intern all of them, and fields up to
-256 elements get full add/mul lookup tables, which keeps the exhaustive
-checks elsewhere in the library fast.
+immutable; fields are interned, so field equality is identity.
+
+Fields of at most INTERN_CAP = 2^16 elements intern every element and keep
+three 16-bit tables of about q entries over the log base g, the primitive
+element of least index (often not the class of X, which is not primitive in
+GF(9), GF(256), GF(4096) or GF(65536)): `_log[i]` is the log of the element
+of index i, `_exp[k]` the index of g^k and `_zech[k]` the Zech logarithm
+log(1 + g^k).  Products, quotients, inverses and powers add logs mod q - 1;
+a sum g^a + g^b = g^(a + Z(b - a)) is one Zech lookup (Lidl and Niederreiter,
+Finite Fields, ch. 9).  Larger fields compute on coefficient vectors.
 
 Subfield embeddings follow a least-root rule constrained to agree with the
 already-fixed embeddings of every maximal proper subfield, which makes the
@@ -16,14 +23,15 @@ F1 into F2 and then F2 into F3 whenever the degrees divide each other.
 from __future__ import annotations
 
 import random
+from array import array
 from functools import lru_cache
+from itertools import product, zip_longest
 
 from . import zmodpoly as zp
 from .errors import CapExceeded, ParseError, VerificationError
 
 DEGREE_CAP = 16
 INTERN_CAP = 1 << 16
-TABLE_CAP = 256
 ROOT_ENUM_CAP = 4096
 INTERP_CAP = 4096
 
@@ -70,7 +78,7 @@ class FieldElem:
 
     def _coerce(self, other):
         if isinstance(other, FieldElem):
-            if other.field != self.field:
+            if other.field is not self.field:
                 raise ValueError(f"mixed fields: {self.field} vs {other.field}")
             return other
         if isinstance(other, int):
@@ -82,51 +90,64 @@ class FieldElem:
         if o is None:
             return NotImplemented
         f = self.field
-        if f._addtab is not None:
-            return f._elems[f._addtab[self.index][o.index]]
-        p = f.p
-        return f._from_coeffs_raw(tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs)))
+        if f._exp is None:
+            p = f.p
+            return f._from_coeffs_raw(tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs)))
+        i, j = self.index, o.index
+        if not j:
+            return self
+        if not i:
+            return o
+        a = f._log[i]
+        z = f._zech[f._log[j] - a]
+        m = f.q - 1
+        if z == m:
+            return f._elems[0]
+        return f._elems[f._exp[a + z - m]]
 
     __radd__ = __add__
 
     def __neg__(self):
         f = self.field
         p = f.p
-        if p == 2:
+        if p == 2 or not self.index:
             return self
-        return f._from_coeffs_raw(tuple((-a) % p for a in self.coeffs))
+        if f._exp is None:
+            return f._from_coeffs_raw(tuple(p - a if a else 0 for a in self.coeffs))
+        return f._elems[f._exp[f._log[self.index] - (f.q - 1) // 2]]     # -1 = g^((q-1)/2)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        f = self.field
-        p = f.p
-        return f._from_coeffs_raw(tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs)))
+        return self + (-o)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return -self + other
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         f = self.field
-        if f._multab is not None:
-            return f._elems[f._multab[self.index][o.index]]
-        return f._from_coeffs_raw(f._mul_coeffs(self.coeffs, o.coeffs))
+        if f._exp is None:
+            return f._from_coeffs_raw(f._mul_coeffs(self.coeffs, o.coeffs))
+        i, j = self.index, o.index
+        if not i or not j:
+            return f._elems[0]
+        return f._elems[f._exp[f._log[i] + f._log[j] - f.q + 1]]    # _exp[-k] is _exp[q - 1 - k]
 
     __rmul__ = __mul__
 
     def __pow__(self, e):
         if not isinstance(e, int):
             return NotImplemented
+        f = self.field
+        if f._exp is not None and self.index:
+            return f._elems[f._exp[f._log[self.index] * e % (f.q - 1)]]
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one
+        result = f.one
         base = self
         while e:
             if e & 1:
@@ -146,13 +167,9 @@ class FieldElem:
         if self.index == 0:
             raise ZeroDivisionError(f"0 has no inverse in {self.field}")
         f = self.field
-        cached = f._invmemo.get(self.index)
-        if cached is not None:
-            return f.from_index(cached)
-        inv = self ** (f.q - 2)
-        f._invmemo[self.index] = inv.index
-        f._invmemo[inv.index] = self.index
-        return inv
+        if f._exp is not None:
+            return f._elems[f._exp[-f._log[self.index]]]
+        return self ** (f.q - 2)
 
     def residue_degree(self) -> int:
         """Least d (dividing n) with x^(p^d) = x: x generates GF(p^d)."""
@@ -167,7 +184,7 @@ class FieldElem:
 
     def __eq__(self, other):
         if isinstance(other, FieldElem):
-            return self.index == other.index and self.field == other.field
+            return self.index == other.index and self.field is other.field
         if isinstance(other, int):
             # compare against the ring image of the integer
             return self.index == other % self.field.p
@@ -199,67 +216,68 @@ class FieldElem:
 class FiniteField:
     """GF(p^n) presented by the canonical modulus.  Construct via finite_field/GF."""
 
-    __slots__ = ("p", "n", "q", "modulus", "_elems", "_addtab", "_multab", "_invmemo")
+    __slots__ = ("p", "n", "q", "modulus", "_elems", "_log", "_exp", "_zech")
 
     def __init__(self, p, n):
         self.p = p
         self.n = n
         self.q = p ** n
         self.modulus = zp.least_irreducible(p, n) if n > 1 else (0, 1)
-        self._elems = None
-        self._addtab = None
-        self._multab = None
-        self._invmemo = {}
-        if self.q <= TABLE_CAP:
-            self._build_tables()
-        elif self.q <= INTERN_CAP:
-            self._build_interned()
-
-    # -- identity ----------------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, FiniteField):
-            return self.p == other.p and self.n == other.n
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("GF", self.p, self.n))
+        self._elems = self._log = self._exp = self._zech = None
+        if self.q <= INTERN_CAP:
+            self._build_log_tables()
 
     def __str__(self):
         return f"GF({self.q})"
 
     __repr__ = __str__
 
+    # -- log/Zech tables ---------------------------------------------------
+
+    def _build_log_tables(self):
+        p, n, m = self.p, self.n, self.q - 1
+        # product() varies the last digit fastest; the index varies the constant
+        self._elems = elems = [FieldElem(self, c[::-1], i)
+                               for i, c in enumerate(product(range(p), repeat=n))]
+        # until _exp is set, element arithmetic runs on coefficients
+        one = elems[1]
+        primes = zp.prime_divisors(m)
+        base = next(x for x in elems if x and all(x ** (m // r) is not one for r in primes))
+        b = base.index
+        if p == 2:      # the index is the packed coefficient bitmask
+            mod = zp.pack2(self.modulus)
+
+            def step(v):
+                return zp._rem2(zp._mul2(v, b), mod)
+        elif n == 1:
+            def step(v):
+                return v * b % p
+        else:
+            def step(v):    # the sparse base drives zmodpoly.mul's outer loop
+                return (base * elems[v]).index
+        # 16-bit tables: exp[k] is the index of g^k, log[i] the log of the
+        # element of index i, with m standing for the log of 0
+        exp = array("H", [0]) * m
+        log = array("H", [m]) * (m + 1)
+        v = 1
+        for k in range(m):
+            exp[k] = v
+            log[v] = k
+            v = step(v)
+        if log.count(m) != 1:
+            raise VerificationError(f"log base {base} of {self} is not primitive")
+        # zech[k] = log(1 + g^k).  Adding 1 moves an index to the next one in
+        # its block of p indices (the constant coefficient is the lowest
+        # base-p digit), so rotate log by one within every block.
+        succ = log[1:] + log[:1]
+        succ[p - 1::p] = log[::p]
+        self._zech = array("H", map(succ.__getitem__, exp))
+        self._log, self._exp = log, exp
+
     # -- element construction ----------------------------------------------
 
     def _index_to_coeffs(self, i):
-        out = []
-        for _ in range(self.n):
-            out.append(i % self.p)
-            i //= self.p
-        return tuple(out)
-
-    def _build_interned(self):
-        self._elems = [FieldElem(self, self._index_to_coeffs(i), i) for i in range(self.q)]
-
-    def _build_tables(self):
-        self._build_interned()
-        q, p = self.q, self.p
-        elems = self._elems
-        add = []
-        mul = []
-        for x in elems:
-            xc = x.coeffs
-            addrow = []
-            mulrow = []
-            for y in elems:
-                yc = y.coeffs
-                addrow.append(self._coeffs_to_index(tuple((a + b) % p for a, b in zip(xc, yc))))
-                mulrow.append(self._coeffs_to_index(self._mul_coeffs(xc, yc)))
-            add.append(addrow)
-            mul.append(mulrow)
-        self._addtab = add
-        self._multab = mul
+        return tuple(i // self.p ** k % self.p for k in range(self.n))
 
     def _coeffs_to_index(self, coeffs):
         i = 0
@@ -315,25 +333,9 @@ class FiniteField:
     def divisors(self):
         return tuple(d for d in range(1, self.n + 1) if self.n % d == 0)
 
-    # -- coefficient arithmetic (no-table path) -----------------------------
-
     def _mul_coeffs(self, a, b):
-        p, n = self.p, self.n
-        full = [0] * (2 * n - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        full[i + j] = (full[i + j] + x * y) % p
-        mod = self.modulus
-        for k in range(2 * n - 2, n - 1, -1):
-            c = full[k]
-            if c:
-                off = k - n
-                for i in range(n):
-                    if mod[i]:
-                        full[off + i] = (full[off + i] - c * mod[i]) % p
-        return tuple(full[:n])
+        c = zp.rem(zp.mul(a, b, self.p), self.modulus, self.p)
+        return c + (0,) * (self.n - len(c))
 
     # -- parsing -------------------------------------------------------------
 
@@ -412,14 +414,8 @@ def fpoly_mul(a, b, field):
     return fpoly_trim(out)
 
 
-def fpoly_sub(a, b):
-    out = list(a) + [None] * max(0, len(b) - len(a))
-    for i in range(len(out)):
-        if out[i] is None:
-            out[i] = -b[i]
-        elif i < len(b):
-            out[i] = out[i] - b[i]
-    return fpoly_trim(out)
+def fpoly_add(a, b, field):
+    return fpoly_trim([x + y for x, y in zip_longest(a, b, fillvalue=field.zero)])
 
 
 def fpoly_divmod(a, b, field):
@@ -533,13 +529,9 @@ class FieldEmbedding:
         self.gen_image = gen_image
 
     def __call__(self, x: FieldElem) -> FieldElem:
-        if x.field != self.sub:
+        if x.field is not self.sub:
             raise ValueError(f"{x!r} is not an element of {self.sub}")
-        sup = self.sup
-        acc = sup.zero
-        for c in reversed(x.coeffs):
-            acc = acc * self.gen_image + sup.from_int(c)
-        return acc
+        return fpoly_eval([self.sup.from_int(c) for c in x.coeffs], self.gen_image)
 
     def __repr__(self):
         return f"embed({self.sub} -> {self.sup}; g -> {self.gen_image})"
@@ -572,14 +564,8 @@ def _generator_image(sub, sup):
         mid = finite_field(sub.p, e, degree_cap=max(DEGREE_CAP, e))
         t_sub = field_embedding(mid, sub)(mid.generator)
         target = field_embedding(mid, sup)(mid.generator)
-        kept = []
-        for r in survivors:
-            acc = sup.zero
-            for c in reversed(t_sub.coeffs):
-                acc = acc * r + sup.from_int(c)
-            if acc == target:
-                kept.append(r)
-        survivors = kept
+        t_poly = [sup.from_int(c) for c in t_sub.coeffs]
+        survivors = [r for r in survivors if fpoly_eval(t_poly, r) == target]
     if not survivors:
         raise VerificationError(f"no compatible root for {sub} -> {sup}")
     return min(survivors, key=lambda r: r.index)
@@ -623,13 +609,11 @@ def _roots_cz(sup, f):
                 tr = list(h)
                 for _ in range(sup.n - 1):
                     acc = fpoly_rem(fpoly_mul(acc, acc, sup), g, sup)
-                    tr = fpoly_trim([(tr[i] if i < len(tr) else sup.zero) +
-                                     (acc[i] if i < len(acc) else sup.zero)
-                                     for i in range(max(len(tr), len(acc)))])
+                    tr = fpoly_add(tr, acc, sup)
                 cand = fpoly_gcd(g, tr, sup)
             else:
                 h = fpoly_powmod([a, sup.one], (sup.q - 1) // 2, g, sup)
-                h = fpoly_sub(h, [sup.one])
+                h = fpoly_add(h, [-sup.one], sup)
                 cand = fpoly_gcd(g, h, sup)
             if 0 < len(cand) - 1 < deg:
                 quot, rem_ = fpoly_divmod(g, cand, sup)

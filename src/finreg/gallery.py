@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .boolean import BooleanRing
 from .errors import CapExceeded, VerificationError
-from .fields import FiniteField, FieldElem, field_embedding, finite_field
+from .fields import FiniteField, FieldElem, field_embedding, finite_field, fpoly_eval
 from .products import ProductRing, RingSignature
 from .polymaps import MapTable, PolyMap, contractive_to_polynomial, is_contractive
 from .stepfun import StepElem, StepRing
@@ -96,7 +96,7 @@ def vraciu_build(assignment: FieldAssignment) -> VraciuReport:
     for j, label in enumerate(atom_map):
         expected = assignment.fields[j]
         got = ring.quotient_field(label)
-        if got != expected:
+        if got is not expected:
             quotients_ok = False
             continue
         for k in expected.elements():
@@ -194,7 +194,7 @@ class TowerRing:
         sub = self.fields[i]
         if sub.q > SUBFIELD_MATERIALIZE_CAP:
             return None
-        if sub == self.universe:
+        if sub is self.universe:
             elems = tuple(self.universe.elements())
         else:
             emb = field_embedding(sub, self.universe)
@@ -379,13 +379,7 @@ def gf4_kernel_check() -> KernelReport:
     all_rejected = True
     for bits in itertools.product((0, 1), repeat=4):
         coeffs = [K.from_int(b) for b in bits]
-        mismatches = 0
-        for t in elems:
-            acc = K.zero
-            for c in reversed(coeffs):
-                acc = acc * t + c
-            if acc != h(t):
-                mismatches += 1
+        mismatches = sum(fpoly_eval(coeffs, t) != h(t) for t in elems)
         candidates.append((bits, mismatches))
         if mismatches == 0:
             all_rejected = False

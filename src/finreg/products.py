@@ -34,7 +34,7 @@ from .errors import CapExceeded, VerificationError
 from .fields import FieldElem, FiniteField, finite_field
 # check_residue_cover serves step and product rings alike; it is re-exported here
 from .stepfun import (ENUM_CAP, PRODUCT_CHECK_CAP, ConvexCombination, StepElem, StepRing,
-                      check_residue_cover, extraction_masks)
+                      check_residue_cover, extraction_masks, size_text)
 from .zmodpoly import prime_power
 
 SUBRING_CAP = 10 ** 6
@@ -82,10 +82,7 @@ class ProductRing:
 
     @property
     def size(self):
-        n = 1
-        for f in self.factors:
-            n *= f.size
-        return n
+        return math.prod(f.size for f in self.factors)
 
     @property
     def char(self):
@@ -154,7 +151,7 @@ class ProductRing:
         """All elements in mixed-radix order of the factors' own orders:
         factor 0 varies fastest, so the position is `element_index`."""
         if self.size > cap:
-            raise CapExceeded(f"{self} has {self.size} elements, above the cap {cap}")
+            raise CapExceeded(f"{self} has {size_text(self.factors)} elements, above the cap {cap}")
         first, *rest = self.factors
         for tail in itertools.product(*(f.elements() for f in reversed(rest))):
             tail = tail[::-1]
@@ -164,7 +161,8 @@ class ProductRing:
     def cached_elements(self, cap: int = PRODUCT_CHECK_CAP):
         if self._elem_list is None or len(self._elem_list) > cap:
             if self.size > cap:
-                raise CapExceeded(f"{self} has {self.size} elements, above the cap {cap}")
+                raise CapExceeded(
+                    f"{self} has {size_text(self.factors)} elements, above the cap {cap}")
             self._elem_list = tuple(self.elements(cap))
         return self._elem_list
 

@@ -21,13 +21,16 @@ them factor by factor.  Here live the element enumeration and indexing, the
 convex combination (`StepRing.convex`), the extraction coefficient masks
 (`extraction_masks`), the per-atom residue coverage
 (`StepRing.missing_residues`), the residue-cover check for step and product
-rings alike (`check_residue_cover`), and the caps `ENUM_CAP` and
-`PRODUCT_CHECK_CAP`.  Step rings are interned, so ring equality is identity.
+rings alike (`check_residue_cover`), the ring-size formatter (`size_text`),
+and the caps `ENUM_CAP` and `PRODUCT_CHECK_CAP`.  Step rings are interned, so
+ring equality is identity.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .boolean import BooleanRing, BoolElem, is_partition_of_unity
@@ -36,6 +39,19 @@ from .fields import FieldElem, FiniteField
 
 ENUM_CAP = 1 << 20
 PRODUCT_CHECK_CAP = 4096
+
+
+def size_text(step_rings) -> str:
+    """The order of the product of `step_rings`: in decimal where Python
+    prints it, else as a product of prime powers such as 2^20000."""
+    try:
+        return str(math.prod(f.size for f in step_rings))
+    except ValueError:      # more digits than sys.get_int_max_str_digits()
+        exponents = Counter()
+        for f in step_rings:
+            exponents[f.field.p] += f.field.n * f.atom_count
+        return " * ".join(f"{p}^{e}" for p, e in sorted(exponents.items()))
+
 
 _STEP_RINGS: dict = {}
 
@@ -82,7 +98,7 @@ class StepRing:
     def scalar(self, k) -> "StepElem":
         if isinstance(k, int):
             k = self.field.from_int(k)
-        elif not isinstance(k, FieldElem) or k.field != self.field:
+        elif not isinstance(k, FieldElem) or k.field is not self.field:
             raise ValueError(f"{k!r} is not a scalar of {self.field}")
         return StepElem(self, ((self.bool_ring.full_mask, k),))
 
@@ -114,7 +130,7 @@ class StepRing:
         for j, v in enumerate(values):
             if isinstance(v, int):
                 v = self.field.from_int(v)
-            if not isinstance(v, FieldElem) or v.field != self.field:
+            if not isinstance(v, FieldElem) or v.field is not self.field:
                 raise ValueError(f"value {v!r} is not in {self.field}")
             if v.index in acc:
                 acc[v.index] = (acc[v.index][0] | (1 << j), v)
@@ -136,7 +152,7 @@ class StepRing:
                 mask = int(part)
             if isinstance(value, int):
                 value = self.field.from_int(value)
-            if not isinstance(value, FieldElem) or value.field != self.field:
+            if not isinstance(value, FieldElem) or value.field is not self.field:
                 raise ValueError(f"value {value!r} is not in {self.field}")
             if mask == 0:
                 continue
@@ -164,7 +180,7 @@ class StepRing:
     def elements(self, cap: int = ENUM_CAP):
         """All elements in canonical order (atom-0 value varies fastest)."""
         if self.size > cap:
-            raise CapExceeded(f"{self} has {self.size} elements, above the cap {cap}")
+            raise CapExceeded(f"{self} has {size_text((self,))} elements, above the cap {cap}")
         q = self.field.q
         atoms = self.bool_ring.atom_count
         for idx in range(self.size):

@@ -146,10 +146,6 @@ def pack2(coeffs) -> int:
     return v
 
 
-def unpack2(v: int):
-    return tuple((v >> i) & 1 for i in range(v.bit_length()))
-
-
 def _mul2(a: int, b: int) -> int:
     r = 0
     while b:

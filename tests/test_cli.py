@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from finreg.cli import main
@@ -117,6 +119,20 @@ def test_exit_code_cap_exceeded(capsys):
     assert code == 3
 
 
+def test_huge_ring_size_keeps_the_exit_code_contract(capsys, tmp_path):
+    # 2^20000 has more decimal digits than the default int-to-str limit (4300)
+    code, out, err = run(capsys, "ring", "new", "GF(2)^[B(atoms=20000)]")
+    assert code == 0 and err == ""
+    assert out.count("size 2^20000\n") == 2
+    code, out, err = run(capsys, "ring", "new", "GF(4)^[B(atoms=20000)] x GF(3)^[B(atoms=2)]")
+    assert code == 0 and "size 2^40000 * 3^2\n" in out
+    path = tmp_path / "huge.ws"
+    path.write_text("map f @ GF(2)^[B(atoms=20000)] = {\n({[all]->0}) -> ({[all]->0})\n}\n")
+    code, out, err = run(capsys, "map", "topoly", str(path))
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert "cap exceeded: GF(2)^[B(atoms=20000)] has 2^20000 elements" in err
+
+
 def test_exit_codes_for_tower_size(capsys):
     code, out, err = run(capsys, "demo", "tower", "--q", "2", "--n", "0")
     assert code == 2 and out == "" and "input error" in err and "Traceback" not in err
@@ -163,6 +179,26 @@ def test_deterministic_output(capsys):
     t2 = run(capsys, "--seed", "7", "demo", "tower", "--q", "2", "--n", "3",
              "--samples", "50")
     assert t1 == t2
+
+
+# SHA-256 of the stdout of fixed commands: any byte that changes breaks the CLI contract
+PINNED_OUTPUT = [
+    (("demo", "tower", "--q", "2", "--n", "3"),
+     "e39542ae16cf13d241a8ffab4b854610b53237ae376903b1f097027441bc4888"),
+    (("demo", "tower", "--q", "3", "--n", "2"),
+     "c76ef42a939ce15467d20dfc9daf1485e7ea14b3fae66dc22750e7c7f217b913"),
+    (("ring", "check", "GF(256)^[B(atoms=2)]", "char"),
+     "b53fea06e78b73bb405e65ffa4ae3b69bf9b2a3a375bbb5804a48813292ef8b1"),
+    (("demo", "vraciu", "--fields", "GF(243),GF(9)"),
+     "40be87e12e2b7dd6a108060f086488e7ef65fd34bafa004800cb2cca681e2bc0"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_OUTPUT, ids=[" ".join(a) for a, _ in PINNED_OUTPUT])
+def test_output_is_byte_identical(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_installed_entry_point():

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
+from finreg import zmodpoly as zp
 from finreg.errors import CapExceeded, ParseError
-from finreg.fields import (GF, finite_field, field_embedding, field_roots,
+from finreg.fields import (GF, INTERN_CAP, finite_field, field_embedding, field_roots,
                            fpoly_eval, lagrange_interpolate)
 
 
@@ -181,3 +183,113 @@ def test_element_printing_and_parsing():
         K.parse_element("g+g")
     with pytest.raises(ParseError):
         K9.parse_element("3")
+
+
+# ---------------------------------------------------------------------------
+# differential test: every element operation against Z/p[X]/(modulus)
+# arithmetic on coefficient tuples, computed with zmodpoly
+
+
+class _Oracle:
+    def __init__(self, K):
+        self.p, self.n, self.q, self.mod = K.p, K.n, K.q, K.modulus
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(-x % self.p for x in a)
+
+    def mul(self, a, b):
+        if self.n == 1:     # Z/p[X]/(X): the exhaustive pass makes a million of these
+            return (a[0] * b[0] % self.p,)
+        c = zp.rem(zp.mul(a, b, self.p), self.mod, self.p)
+        return c + (0,) * (self.n - len(c))
+
+    def pow(self, a, e):
+        """a^e, or None when a = 0 and e < 0."""
+        if e < 0:
+            if not any(a):
+                return None
+            a, e = self.pow(a, self.q - 2), -e
+        c = zp.powmod(zp.normalize(a, self.p), e, self.mod, self.p)
+        return c + (0,) * (self.n - len(c))
+
+
+def _oracle_pow(mul, i, e):
+    """Index of x^e by square and multiply over the oracle's table."""
+    r = 1
+    while e:
+        if e & 1:
+            r = mul[r][i]
+        e >>= 1
+        i = mul[i][i]
+    return r
+
+
+def test_arithmetic_matches_coefficient_oracle_exhaustive_small():
+    for q in range(2, 257):
+        if zp.prime_power(q) is None:
+            continue
+        K = GF(q)
+        oracle = _Oracle(K)
+        elems = list(K.elements())
+        coeffs = [x.coeffs for x in elems]
+        pos = {c: i for i, c in enumerate(coeffs)}
+        add = [[pos[oracle.add(a, b)] for b in coeffs] for a in coeffs]
+        mul = [[pos[oracle.mul(a, b)] for b in coeffs] for a in coeffs]
+        inv = [None] + [row.index(1) for row in mul[1:]]
+        for x in elems:
+            i = x.index
+            assert [(x + y).index for y in elems] == add[i], K
+            assert [(x * y).index for y in elems] == mul[i], K
+            # x - y and x / y are the oracle's unique solutions z of z + y = x, z * y = x
+            assert [add[(x - y).index][y.index] for y in elems] == [i] * q, K
+            assert [mul[(x / y).index][y.index] for y in elems[1:]] == [i] * (q - 1), K
+            assert (-x).index == pos[oracle.neg(x.coeffs)], K
+            with pytest.raises(ZeroDivisionError):
+                x / K.zero
+            if not x:
+                with pytest.raises(ZeroDivisionError):
+                    x.inverse()
+                with pytest.raises(ZeroDivisionError):
+                    x ** -1
+                assert x ** 0 == K.one and x ** 5 == x
+                continue
+            assert x.inverse().index == inv[i], K
+            for e in (-q - 1, -2, -1, 0, 1, 2, 3, q - 1, q, 3 * q + 5):
+                want = _oracle_pow(mul, i, e) if e >= 0 else _oracle_pow(mul, inv[i], -e)
+                assert (x ** e).index == want, (K, x, e)
+
+
+@pytest.mark.parametrize("p,n", [(2, 12), (3, 10), (65521, 1), (2, 16),       # tables
+                                 (65537, 1), (2, 17), (3, 11)])                 # coefficients
+def test_arithmetic_matches_coefficient_oracle_sampled(p, n):
+    K = finite_field(p, n, degree_cap=17)
+    assert (K.q <= INTERN_CAP) == (K._exp is not None)
+    oracle = _Oracle(K)
+    rng = random.Random(f"fields-oracle:{p}^{n}")
+    elems = [K.zero, K.one, K.from_int(-1)] + [K.random_element(rng) for _ in range(40)]
+    exponents = (-K.q, -2, -1, 0, 1, 2, 3, K.q - 1, K.q, rng.randrange(-10 ** 9, 10 ** 9))
+    for x in elems:
+        a = x.coeffs
+        assert (-x).coeffs == oracle.neg(a)
+        if x:
+            assert x.inverse().coeffs == oracle.pow(a, -1)
+        for e in exponents:
+            want = oracle.pow(a, e)
+            if want is None:
+                with pytest.raises(ZeroDivisionError):
+                    x ** e
+            else:
+                assert (x ** e).coeffs == want, (K, x, e)
+        for y in rng.sample(elems, 8):
+            b = y.coeffs
+            assert (x + y).coeffs == oracle.add(a, b), (K, x, y)
+            assert (x - y).coeffs == oracle.add(a, oracle.neg(b)), (K, x, y)
+            assert (x * y).coeffs == oracle.mul(a, b), (K, x, y)
+            if y:
+                assert (x / y).coeffs == oracle.mul(a, oracle.pow(b, -1)), (K, x, y)
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    x / y

@@ -420,3 +420,17 @@ def test_product_cover_check_agrees_with_the_step_ring(q, atoms):
                                                      step.product_exhaustive)
                 assert prod.missing == tuple((0, *entry) for entry in step.missing)
                 assert all(len(entry) == 2 for entry in step.missing)
+
+
+def test_size_text_is_decimal_until_python_cannot_print_it():
+    R = P((4, 3), (3, 2))
+    assert stepfun.size_text(R.factors) == str(R.size) == "576"
+    wide = P((2, 13000))          # 3914 decimal digits, below the 4300 limit
+    assert stepfun.size_text(wide.factors) == str(wide.size)
+    huge = P((4, 20000), (3, 2), (8, 3))
+    assert stepfun.size_text(huge.factors) == "2^40009 * 3^2"
+    assert stepfun.size_text(huge.factors[:1]) == "2^40000"
+    with pytest.raises(CapExceeded, match=r"has 2\^40000 \* 3\^2 elements"):
+        P((4, 20000), (3, 2)).cached_elements()
+    with pytest.raises(CapExceeded, match=r"has 2\^40000 elements"):
+        next(huge.factors[0].elements())
