@@ -1,9 +1,10 @@
 import hashlib
+import random
 
 import pytest
 
 from finreg.cli import main
-from finreg.polymaps import MapTable
+from finreg.polymaps import MapTable, random_polymap
 from finreg import textio as tio
 
 
@@ -33,6 +34,22 @@ def square_file(tmp_path):
     ws = tio.Workspace()
     ws.bind("sq", "map", table, ring)
     path = tmp_path / "sq.ws"
+    ws.save(path)
+    return str(path)
+
+
+@pytest.fixture
+def perturbed_file(tmp_path):
+    # a cubic polynomial map with one entry shifted by 1; the first violating
+    # pair is (element 1, element 16)
+    ring = tio.parse_ring("GF(3)^[B(atoms=2)] x GF(2)^[B(atoms=1)]")
+    rng = random.Random(40)
+    mapping = dict(random_polymap(ring, rng).induced_table().mapping)
+    x = rng.choice(ring.cached_elements())
+    mapping[x] = mapping[x] + ring.one
+    ws = tio.Workspace()
+    ws.bind("f", "map", MapTable(ring, mapping), ring)
+    path = tmp_path / "perturbed.ws"
     ws.save(path)
     return str(path)
 
@@ -201,10 +218,37 @@ def test_output_is_byte_identical(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of the stdout of the map commands that print the first violating pair
+PINNED_WITNESS_OUTPUT = [
+    (("map", "check", "{ws}", "contractive"),
+     "2eff7a062c2b438a0cb2619323a7c485bf5c310408848df41af8fc8d31d0aec7"),
+    (("map", "check", "{ws}", "polynomial"),
+     "10717914c31783a41d559ffef701187733f99d1cc048dae03e47eb74700958b3"),
+    (("map", "topoly", "{ws}"),
+     "0b7f4ede23a74013c056aaf16445ccf0425ab7df4336bd0c6ce34ffb8cbfdbd2"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_WITNESS_OUTPUT,
+                         ids=[" ".join(a) for a, _ in PINNED_WITNESS_OUTPUT])
+def test_witness_output_is_byte_identical(capsys, perturbed_file, argv, digest):
+    code, out, err = run(capsys, *(perturbed_file if a == "{ws}" else a for a in argv))
+    assert code == 1 and err == ""
+    assert "witness x = ({[1]->0; [0]->1} | {[all]->0})\n" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_installed_entry_point():
+    import os
     import subprocess
     import sys
+
+    import finreg
+    # the child imports finreg from where this process found it (src/ in a checkout)
+    home = os.path.dirname(os.path.dirname(finreg.__file__))
+    path = os.pathsep.join(filter(None, (home, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-m", "finreg.cli", "demo", "gf4-kernel"],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "rejected 16/16" in proc.stdout

@@ -1,0 +1,122 @@
+"""Seeded fuzzing of the CLI exit-code contract.
+
+Valid ring texts, element texts and map workspace files are mutated by
+truncation, duplicated or swapped lines and spliced random bytes, and every
+mutant runs in-process through `cli.main`.  The contract on any input: the
+exit code is 0, 1, 2 or 3, stderr carries no traceback, and a second run
+prints the same stdout.
+"""
+
+import random
+
+import pytest
+
+from finreg import textio as tio
+from finreg.cli import main
+from finreg.polymaps import MapTable, random_polymap
+
+SEED = 20261018
+CASES = 200
+# small caps keep every mutant fast: a grown ring exits 3 instead of enumerating
+CAPS = ["--atom-cap", "8", "--table-cap", "256", "--subring-cap", "256"]
+
+RING_TEXTS = [
+    "GF(2)^[B(atoms=3)]",
+    "GF(4)^[B(atoms=2)] x GF(2)^[B(atoms=1)]",
+    "GF(3)^[B(atoms=1)] x GF(9)^[B(atoms=1)]",
+    "GF(2^2)^[B(atoms=2)]",
+]
+ELEM_RING = "GF(4)^[B(atoms=2)] x GF(2)^[B(atoms=1)]"
+ELEM_TEXTS = [
+    "({[0]->1; [1]->g} | {[all]->0}),1",
+    "({[all]->g+1} | {[0]->1}),0,1",
+    "({[]->0; [all]->1} | {[all]->1})",
+]
+SPLICE_CHARS = "()[]{}|;,->=^x@ 0123456789gGFBatoms\n\t\\\"'#"
+
+
+def _map_workspace(ring_text, seed, perturb):
+    ring = tio.parse_ring(ring_text)
+    rng = random.Random(seed)
+    mapping = dict(random_polymap(ring, rng).induced_table().mapping)
+    if perturb:
+        x = rng.choice(ring.cached_elements())
+        mapping[x] = ring.random_element(rng)
+    ws = tio.Workspace()
+    ws.bind("r", "ring", ring)
+    ws.bind("f", "map", MapTable(ring, mapping), ring)
+    ws.bind("e", "elem", ring.random_element(rng), ring)
+    ws.bind("p", "poly", random_polymap(ring, rng), ring)
+    ws.bind("s", "sig", tio.parse_signature("sig{GF(2):2, GF(3):1}"))
+    return ws.dumps()
+
+
+WORKSPACES = [_map_workspace("GF(2)^[B(atoms=2)]", 1, False),
+              _map_workspace("GF(3)^[B(atoms=1)] x GF(2)^[B(atoms=2)]", 2, True),
+              _map_workspace("GF(4)^[B(atoms=1)]", 3, False)]
+
+
+def mutate(text: str, rng: random.Random) -> str:
+    """One random mutation; a one-line text is treated as a list of words."""
+    sep = "\n" if "\n" in text else " "
+    pieces = text.split(sep)
+    kind = rng.choice(("truncate", "duplicate", "swap", "splice"))
+    if kind == "truncate" and text:
+        return text[:rng.randrange(len(text))]
+    if kind == "duplicate":
+        i = rng.randrange(len(pieces))
+        pieces.insert(rng.randrange(len(pieces) + 1), pieces[i])
+        return sep.join(pieces)
+    if kind == "swap" and len(pieces) > 1:
+        i, j = rng.sample(range(len(pieces)), 2)
+        pieces[i], pieces[j] = pieces[j], pieces[i]
+        return sep.join(pieces)
+    pos = rng.randrange(len(text) + 1)
+    junk = "".join(rng.choice(SPLICE_CHARS) if rng.random() < 0.7 else chr(rng.randrange(256))
+                   for _ in range(rng.randint(1, 6)))
+    return text[:pos] + junk + text[pos + rng.randint(0, 3):]
+
+
+def make_case(k: int, tmp_path):
+    """The argv of fuzz case k, with any workspace written under tmp_path."""
+    rng = random.Random(f"{SEED}:{k}")
+    family = k % 3
+    if family == 0:
+        ring = mutate(rng.choice(RING_TEXTS), rng)
+        tail = rng.choice((["new", ring], ["check", ring, "quotients"],
+                           ["check", ring, "char"], ["decompose", ring]))
+        return CAPS + ["ring", *tail]
+    if family == 1:
+        gens = mutate(rng.choice(ELEM_TEXTS), rng)
+        return CAPS + ["ring", *rng.choice((["check", ELEM_RING, "cfg", "--gens", gens],
+                                            ["decompose", ELEM_RING, "--gens", gens]))]
+    text = rng.choice(WORKSPACES)
+    for _ in range(rng.randint(1, 2)):
+        text = mutate(text, rng)
+    path = tmp_path / f"case{k}.ws"
+    path.write_bytes(text.encode("latin-1"))   # spliced bytes above 0x7f are raw
+    tail = rng.choice((["check", str(path), "contractive"], ["check", str(path), "conv"],
+                       ["check", str(path), "polynomial"], ["topoly", str(path)],
+                       ["orbit", str(path), "--gens", "0,1"], ["orbit", str(path)]))
+    return CAPS + ["map", *tail]
+
+
+def run(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:        # argparse rejects the command line
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_malformed_input_keeps_the_exit_code_contract(capsys, tmp_path):
+    codes = set()
+    for k in range(CASES):
+        argv = make_case(k, tmp_path)
+        code, out, err = run(capsys, argv)
+        assert code in (0, 1, 2, 3), (k, argv, err)
+        assert "Traceback" not in err, (k, argv, err)
+        assert run(capsys, argv)[:2] == (code, out), (k, argv)
+        codes.add(code)
+    assert {0, 2} <= codes

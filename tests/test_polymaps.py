@@ -17,6 +17,33 @@ def P(*specs):
     return ProductRing([(GF(q), atoms) for q, atoms in specs])
 
 
+def is_contractive_pairs(f):
+    """The quadratic definition, pair by pair: the reference for is_contractive."""
+    elems = f.ring.cached_elements(len(f.mapping))
+    for i, x in enumerate(elems):
+        fx = f.mapping[x]
+        for y in elems[i + 1:]:
+            dom = (x - y).support_profile()
+            img = (fx - f.mapping[y]).support_profile()
+            if any(m & ~d for m, d in zip(img, dom)):
+                return False, (x, y)
+    return True, None
+
+
+def violates_definition(f, x, y):
+    dom = (x - y).support_profile()
+    img = (f(x) - f(y)).support_profile()
+    return any(m & ~d for m, d in zip(img, dom))
+
+
+def perturbed(table, rng, changes):
+    """A copy of the table with `changes` random entries redrawn."""
+    mapping = dict(table.mapping)
+    for x in rng.sample(table.ring.cached_elements(), changes):
+        mapping[x] = table.ring.random_element(rng)
+    return MapTable(table.ring, mapping)
+
+
 def swap_map(ring):
     S = ring.factors[0]
     return MapTable.from_function(ring, lambda x: ring.element(
@@ -268,3 +295,43 @@ def test_interpolation_roundtrip_gf2_b3():
         assert all(poly.evaluate(x) == y for x, y in f.mapping.items())
         count += 1
     assert count == 64  # one function GF(2)->GF(2) per atom
+
+
+def test_prime_scan_matches_the_pair_loop_on_every_small_map():
+    for ring in (P((2, 2)), P((4, 1)), P((3, 1)), P((2, 1), (2, 1))):
+        elems = ring.cached_elements()
+        for images in itertools.product(elems, repeat=len(elems)):
+            f = MapTable(ring, dict(zip(elems, images)))
+            assert is_contractive(f) == is_contractive_pairs(f), (ring, images)
+
+
+def test_prime_scan_matches_the_pair_loop_on_perturbed_polynomials():
+    rng = random.Random(29)
+    shapes = [((3, 4),), ((9, 2),), ((2, 6),), ((2, 3), (3, 1), (3, 1)),
+              ((4, 2), (2, 2)), ((2, 2), (4, 1), (5, 1)), ((3, 2), (3, 2))]
+    failures = 0
+    for shape in shapes:
+        ring = P(*shape)
+        assert 64 <= ring.size <= 81
+        for changes in (0, 1, 1, 2, 3):
+            f = perturbed(random_polymap(ring, rng).induced_table(), rng, changes)
+            expected = is_contractive_pairs(f)
+            assert is_contractive(f) == expected, (shape, changes)
+            failures += not expected[0]
+    assert failures >= 20
+
+
+def test_prime_scan_on_729_elements_agrees_with_per_atom_functions():
+    ring = P((3, 6))
+    rng = random.Random(31)
+    poly = random_polymap(ring, rng).induced_table()
+    outcomes = set()
+    for changes in (0, 1, 3):
+        f = perturbed(poly, rng, changes)
+        ok, witness = is_contractive(f)
+        assert ok == (per_atom_functions(f) is not None)
+        assert (witness is None) == ok
+        if witness is not None:
+            assert violates_definition(f, *witness)
+        outcomes.add(ok)
+    assert outcomes == {True, False}
