@@ -19,7 +19,7 @@ from .polymaps import (BoundReport, IterationCertificate, MapTable, PolyMap,
 from .products import (CharBlock, FieldClass, ProductElem, ProductRing, RingSignature,
                        StructureWitness, SubringPresentation, char_decompose,
                        decompose_finite_reduced, full_presentation, generated_subring,
-                       idempotent_power, iso_test, residue_field_signature, ring_char,
+                       iso_test, residue_field_signature, ring_char,
                        ring_from_signature, structure_decompose)
 from .stepfun import ConvexCombination, CoverReport, StepElem, StepRing
 from .products import check_residue_cover, extract_combination

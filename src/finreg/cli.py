@@ -14,17 +14,15 @@ import random
 import sys
 
 from .errors import CapExceeded, ParseError
-from .fields import GF
 from .gallery import (FieldAssignment, gf4_kernel_check, gf4_sequence_demo,
                       tower_build, tower_verify, vraciu_build)
-from .boolean import BooleanRing
-from .polymaps import (MapTable, commutes_with_conv, contractive_to_polynomial,
+from .boolean import ATOM_CAP, BooleanRing
+from .polymaps import (ORBIT_CAP, commutes_with_conv, contractive_to_polynomial,
                        is_contractive, is_polynomial, iteration_orbit)
-from .products import (ProductRing, SubringPresentation, char_decompose,
-                       check_residue_cover, full_presentation, iso_test,
-                       ring_char, structure_decompose)
+from .products import (SUBRING_CAP, ProductRing, SubringPresentation, char_decompose,
+                       check_residue_cover, full_presentation, structure_decompose)
 from .selftest import run_selftest
-from .stepfun import size_text
+from .stepfun import PRODUCT_CHECK_CAP, size_text
 from . import textio as tio
 
 
@@ -287,7 +285,7 @@ def cmd_demo_gf4_sequence(args):
 
 
 def cmd_selftest(args):
-    ok = run_selftest(seed=args.seed, exhaustive_cap=args.exhaustive_cap)
+    ok = run_selftest(seed=args.seed)
     return 0 if ok else 1
 
 
@@ -298,11 +296,12 @@ def build_parser():
     top = argparse.ArgumentParser(prog="finreg",
                                   description="exact algebra of regular rings with finite quotient fields")
     top.add_argument("--seed", type=int, default=20240801, help="seed for all sampling")
-    top.add_argument("--table-cap", type=int, default=4096, dest="table_cap",
-                     help="largest ring enumerated for tables and exhaustive checks")
-    top.add_argument("--atom-cap", type=int, default=1 << 20, dest="atom_cap",
+    top.add_argument("--table-cap", type=int, default=PRODUCT_CHECK_CAP, dest="table_cap",
+                     help="largest ring on which `ring check cfg` checks the vanishing "
+                          "product exhaustively; larger rings are sampled")
+    top.add_argument("--atom-cap", type=int, default=ATOM_CAP, dest="atom_cap",
                      help="largest Boolean atom universe accepted")
-    top.add_argument("--subring-cap", type=int, default=10 ** 6, dest="subring_cap",
+    top.add_argument("--subring-cap", type=int, default=SUBRING_CAP, dest="subring_cap",
                      help="largest generated subring saturated")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -341,7 +340,7 @@ def build_parser():
     p = mp.add_parser("orbit", help="orbit size of the iterates")
     p.add_argument("map")
     p.add_argument("--gens", default=None)
-    p.add_argument("--cap", type=int, default=100_000)
+    p.add_argument("--cap", type=int, default=ORBIT_CAP)
     p.add_argument("--name", default=None)
     p.set_defaults(fn=cmd_map_orbit)
 
@@ -363,7 +362,6 @@ def build_parser():
     p.set_defaults(fn=cmd_demo_gf4_sequence)
 
     p = sub.add_parser("selftest", help="run the invariant suites")
-    p.add_argument("--exhaustive-cap", type=int, default=4096, dest="exhaustive_cap")
     p.set_defaults(fn=cmd_selftest)
     return top
 

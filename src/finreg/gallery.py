@@ -133,9 +133,6 @@ class TowerRing:
         sizes = ", ".join(str(f.q) for f in self.fields)
         return f"tower(q={self.q}, atoms={self.n_atoms}; field orders {sizes})"
 
-    def subfield_degree(self, i: int) -> int:
-        return 1 << i
-
     def value_level(self, v: FieldElem) -> int:
         """Least list index i with v in fields[i]."""
         d = v.residue_degree()
@@ -182,10 +179,6 @@ class TowerRing:
                 m &= m - 1
         return True
 
-    def atom_field(self, j: int) -> FiniteField:
-        """The quotient field at atom j: fields[j+1]."""
-        return self.fields[j + 1]
-
     def subfield_elements(self, i: int):
         """Universe images of fields[i], when small enough to materialize."""
         cached = self._subfield_sets.get(i)
@@ -223,9 +216,7 @@ class TowerRing:
     def members(self):
         """Every member, atom values ranging over their subfields; only for
         towers whose member count is materializable."""
-        count = 1
-        for j in range(self.n_atoms):
-            count *= self.fields[j + 1].q
+        count = self.member_count()
         if count > 1 << 16:
             raise CapExceeded(f"tower has {count} members")
         pools = []
@@ -277,21 +268,20 @@ class TowerReport:
 
 
 def tower_verify(tr: TowerRing, *, rng: random.Random | None = None,
-                 closure_samples: int = 400, member_samples: int = 2000,
-                 exhaustive_pair_cap: int = 5000) -> TowerReport:
+                 member_samples: int = 2000) -> TowerReport:
     """Check subring closure, the per-atom quotient fields, and agreement of
     the two membership formulations (exercised inside is_member)."""
     rng = rng or random.Random(0)
     count = tr.member_count()
     closure_ok = True
     checked = 0
-    exhaustive = count * count <= exhaustive_pair_cap
+    exhaustive = count * count <= 5000
     if exhaustive:
         members = list(tr.members())
         pairs = itertools.product(members, members)
     else:
         pairs = ((tr.random_member(rng), tr.random_member(rng))
-                 for _ in range(closure_samples))
+                 for _ in range(400))
     for x, y in pairs:
         if not (tr.is_member(x + y) and tr.is_member(x * y) and tr.is_member(-x)):
             closure_ok = False
@@ -409,8 +399,7 @@ class SequenceReport:
                 and self.contractive and self.witness_matches)
 
 
-def gf4_sequence_demo(n_coords: int = 3, k_free: int = 1, *,
-                      table_cap: int = 4096) -> SequenceReport:
+def gf4_sequence_demo(n_coords: int = 3, k_free: int = 1) -> SequenceReport:
     """Truncate the bounded sequence ring to n_coords coordinates with k_free
     of them carrying the full order-4 field, and analyse f(x) = x(x+1)(x+c)
     with c the order-4 generator on the free part.
@@ -437,7 +426,7 @@ def gf4_sequence_demo(n_coords: int = 3, k_free: int = 1, *,
     one = ring.one
     f_poly = PolyMap(ring, [ring.zero, c, one + c, one])  # X(X+1)(X+c) expanded
     # expansion check: X(X+1)(X+c) = X^3 + (1+c)X^2 + cX over char 2
-    f = MapTable.from_function(ring, lambda x: x * (x + one) * (x + c), cap=table_cap)
+    f = MapTable.from_function(ring, lambda x: x * (x + one) * (x + c))
     if any(f_poly.evaluate(x) != y for x, y in f.mapping.items()):
         raise VerificationError("expanded cubic disagrees with the product form")
 

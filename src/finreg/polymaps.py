@@ -6,6 +6,8 @@ combinations, and on finitely covered rings the same again as being given by
 a polynomial.  Contractivity is decided prime by prime: f is contractive
 exactly when its value at each prime depends only on the argument's value
 there, so one scan per prime finds the first violating pair in linear time.
+Commuting with convex combinations is checked on two-block families only,
+which by induction on the number of blocks covers every family.
 Both directions are made effective here: a contractive map table is
 interpolated blockwise on the embedded field scalars into an explicit
 polynomial (and the result is verified against the whole table before it is
@@ -15,7 +17,8 @@ tuples serves as an independent oracle.
 Iteration finiteness is witnessed two ways: plain cycle detection on
 composed tables, and the coefficient-matrix iteration over the finite
 Boolean subring generated by the convex coordinates of f on a generating
-family.  Both must agree on the orbit size.
+family, whose size is counted prime by prime.  Both must agree on the orbit
+size.
 """
 
 from __future__ import annotations
@@ -203,19 +206,19 @@ def per_atom_functions(f: MapTable):
     return table
 
 
-def commutes_with_conv(f: MapTable, *, budget: int = CONV_CHECK_BUDGET):
-    """Check f(sum a_i x_i) = sum a_i f(x_i).
+def commutes_with_conv(f: MapTable):
+    """Check f(sum a_i x_i) = sum a_i f(x_i) over two-block families.
 
-    Two-block families are checked exhaustively; on rings with at most three
-    atoms the full n-block definition is also enumerated (all slot
-    assignments, zero coefficients included), within a check-count budget.
-    Returns (ok, witness) where a witness is (coeffs, values).
+    Two-block families suffice: an n-block combination is a_1 x_1 +
+    (1 - a_1) z with z = (a_1 + a_2) x_2 + a_3 x_3 + ... + a_n x_n an
+    (n-1)-block one, so commuting with every two-block family gives the rest
+    by induction.  Returns (ok, witness) where a witness is (coeffs, values).
     """
     ring = f.ring
     elems = ring.cached_elements(len(f.mapping))
     profiles = list(ring.idempotent_profiles())
     fulls = tuple(fac.bool_ring.full_mask for fac in ring.factors)
-    if len(profiles) * len(elems) ** 2 > budget:
+    if len(profiles) * len(elems) ** 2 > CONV_CHECK_BUDGET:
         raise CapExceeded("two-block conv check exceeds the budget")
     for prof in profiles:
         comp = tuple(full ^ m for full, m in zip(fulls, prof))
@@ -227,30 +230,6 @@ def commutes_with_conv(f: MapTable, *, budget: int = CONV_CHECK_BUDGET):
                 lhs = f.mapping[ring.convex((a, b), (x, y))]
                 if lhs != ax_f + b * f.mapping[y]:
                     return False, ((a, b), (x, y))
-    atoms = ring.total_atoms
-    if atoms <= 3:
-        labels = ring.prime_labels()
-        for n in range(1, atoms + 1):
-            combos = n ** atoms * len(elems) ** n
-            if combos > budget:
-                continue
-            for assignment in itertools.product(range(n), repeat=atoms):
-                profs = []
-                for slot in range(n):
-                    masks = [0] * len(ring.factors)
-                    for pos, target in enumerate(assignment):
-                        if target == slot:
-                            fi, aj = labels[pos]
-                            masks[fi] |= 1 << aj
-                    profs.append(tuple(masks))
-                coeffs = [ring.from_profile(p) for p in profs]
-                for values in itertools.product(elems, repeat=n):
-                    lhs = f.mapping[ring.convex(coeffs, values)]
-                    rhs = ring.zero
-                    for c, v in zip(coeffs, values):
-                        rhs = rhs + c * f.mapping[v]
-                    if lhs != rhs:
-                        return False, (tuple(coeffs), values)
     return True, None
 
 
@@ -277,7 +256,9 @@ def iteration_orbit(f, gens=None, cap: int = ORBIT_CAP) -> IterationCertificate:
 
     The matrix method needs f to commute with convex combinations (checked
     via contractivity) and the family to cover every residue field; it is
-    refused otherwise.  Both methods must agree.
+    refused otherwise.  Both methods must agree.  The Boolean subring the
+    matrix entries generate has 2^c elements, c the number of distinct
+    nonzero patterns recording which entries contain each prime.
     """
     table = as_table(f)
     t_size, t_tail, t_period = _table_orbit(table, cap)
@@ -293,25 +274,16 @@ def iteration_orbit(f, gens=None, cap: int = ORBIT_CAP) -> IterationCertificate:
     if not cover.ok:
         raise ValueError(f"matrix method refused: generators miss residues {cover.missing[:3]}")
     gens = tuple(ring.coerce(g) for g in gens)
-    n = len(gens)
     m1 = []
     for g in gens:
         combo = extract_combination(table(g), gens)
         m1.append(tuple(c.support_profile() for c in combo.coeffs))
     # m1[j][i] = coefficient of gens[i] in f(gens[j]); columns indexed by j
-    columns = list(m1)
+    columns = m1
     matrices = [tuple(columns)]
-    subring = _boolean_closure([prof for col in m1 for prof in col], ring)
-    values = tuple(ring.convex([ring.from_profile(p) for p in col], gens) for col in columns)
-    seen = {values: 1}
+    seen = {}
     k = 1
-    m_tail = m_period = None
     while True:
-        k += 1
-        if k > cap:
-            raise CapExceeded(f"matrix orbit exceeded the cap {cap}")
-        columns = [_matrix_column_step(col, m1, ring) for col in columns]
-        matrices.append(tuple(columns))
         values = tuple(ring.convex([ring.from_profile(p) for p in col], gens) for col in columns)
         first = seen.get(values)
         if first is not None:
@@ -319,14 +291,19 @@ def iteration_orbit(f, gens=None, cap: int = ORBIT_CAP) -> IterationCertificate:
             m_period = k - first
             break
         seen[values] = k
+        k += 1
+        if k > cap:
+            raise CapExceeded(f"matrix orbit exceeded the cap {cap}")
+        columns = [_matrix_column_step(col, m1) for col in columns]
+        matrices.append(tuple(columns))
     m_size = m_tail + m_period
     agree = m_size == t_size and m_tail == t_tail and m_period == t_period
     if not agree:
         raise VerificationError(
             f"orbit methods disagree: table {(t_size, t_tail, t_period)} vs "
             f"matrix {(m_size, m_tail, m_period)}")
-    return IterationCertificate(t_size, t_tail, t_period, gens,
-                                tuple(matrices), len(subring), True)
+    bool_size = boolean_subring_size([prof for col in m1 for prof in col], ring)
+    return IterationCertificate(t_size, t_tail, t_period, gens, tuple(matrices), bool_size, True)
 
 
 def _table_orbit(table: MapTable, cap: int):
@@ -347,7 +324,7 @@ def _table_orbit(table: MapTable, cap: int):
         k += 1
 
 
-def _matrix_column_step(col, m1, ring):
+def _matrix_column_step(col, m1):
     # next column t-entry: union over r of col[r] & m1[r][t]; the terms are
     # disjoint because col is a complete orthogonal family
     n = len(col)
@@ -364,22 +341,12 @@ def _matrix_column_step(col, m1, ring):
     return tuple(out)
 
 
-def _boolean_closure(profiles, ring):
-    """Closure of the given idempotent profiles under ring sum and product."""
-    known = set(profiles)
-    frontier = list(known)
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in list(known):
-                s = tuple(x ^ y for x, y in zip(a, b))
-                m = tuple(x & y for x, y in zip(a, b))
-                for c in (s, m):
-                    if c not in known:
-                        known.add(c)
-                        new.append(c)
-        frontier = new
-    return known
+def boolean_subring_size(profiles, ring) -> int:
+    """Size of the Boolean subring generated by the given idempotent profiles:
+    2 to the number of distinct nonzero membership patterns over the primes."""
+    patterns = {tuple((p[i] >> j) & 1 for p in profiles) for i, j in ring.prime_labels()}
+    patterns.discard((0,) * len(profiles))
+    return 1 << len(patterns)
 
 
 # ---------------------------------------------------------------------------
@@ -483,14 +450,14 @@ def is_polynomial(f: MapTable):
     return True, contractive_to_polynomial(f)
 
 
-def polynomial_witness_bruteforce(f: MapTable, *, budget: int = 300_000):
+def polynomial_witness_bruteforce(f: MapTable):
     """Independent oracle: search every coefficient tuple of degree less than
     the largest factor order.  Returns a witness PolyMap or None."""
     ring = f.ring
     elems = ring.cached_elements(len(f.mapping))
     degree = max(fac.field.q for fac in ring.factors)
     total = len(elems) ** degree * len(elems)
-    if total > budget:
+    if total > 300_000:
         raise CapExceeded(f"brute-force witness search needs {total} evaluations")
     for coeffs in itertools.product(elems, repeat=degree):
         poly = PolyMap(ring, coeffs)

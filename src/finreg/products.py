@@ -387,32 +387,6 @@ def _subring_cap_exceeded(cap):
 # finite reduced decomposition (Chinese remainder along primitive idempotents)
 
 
-def idempotent_power(t: ProductElem) -> ProductElem:
-    """The idempotent in the multiplicative orbit of t.
-
-    Walk t, t^2, t^3, ... until a repeat t^a = t^b; the idempotent is t^c for
-    c the least multiple of the period b-a that is >= a.  Bounded by the
-    orbit length, hence by the subring size.
-    """
-    powers = [t]
-    seen = {t: 1}
-    cur = t
-    k = 1
-    while True:
-        k += 1
-        cur = cur * t
-        first = seen.get(cur)
-        if first is not None:
-            period = k - first
-            c = period * ((first + period - 1) // period)
-            e = powers[c - 1]
-            if e * e != e:
-                raise VerificationError("stabilized power is not idempotent")
-            return e
-        seen[cur] = k
-        powers.append(cur)
-
-
 @dataclass(frozen=True)
 class FieldClass:
     """Isomorphism class of a finite field."""
@@ -472,7 +446,7 @@ def decompose_finite_reduced(elements, *, assume_closed: bool = False):
         if pn is None:
             raise ValueError("input not reduced: a slice has non-prime-power order")
         p, n = pn
-        if _scalar_times(eps, p) != eps.ring.zero:
+        if eps * p:
             raise ValueError("input not reduced: slice characteristic mismatch")
         # a finite ring with identity eps is a field iff a^(|slice|-1) = eps
         # for every nonzero a
@@ -491,13 +465,6 @@ def decompose_finite_reduced(elements, *, assume_closed: bool = False):
     if card != len(index):
         raise VerificationError("field orders do not multiply to the subring size")
     return tuple(out)
-
-
-def _scalar_times(x: ProductElem, k: int) -> ProductElem:
-    acc = x.ring.zero
-    for _ in range(k):
-        acc = acc + x
-    return acc
 
 
 # ---------------------------------------------------------------------------

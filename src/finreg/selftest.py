@@ -11,9 +11,9 @@ import itertools
 import random
 
 from . import zmodpoly
-from .boolean import BooleanRing, is_partition_of_unity
-from .fields import GF, finite_field, field_embedding, lagrange_interpolate, fpoly_eval
-from .gallery import gf4_kernel_check, tower_build, tower_verify, vraciu_build, FieldAssignment
+from .boolean import BooleanRing
+from .fields import GF, field_embedding, lagrange_interpolate, fpoly_eval
+from .gallery import gf4_kernel_check, tower_build, vraciu_build, FieldAssignment
 from .polymaps import (MapTable, PolyMap, commutes_with_conv, contractive_maps,
                        contractive_to_polynomial, is_contractive, iteration_orbit,
                        random_polymap, support_exponent)
@@ -24,7 +24,7 @@ from .stepfun import StepRing, check_residue_cover, extract_combination
 from . import textio as tio
 
 
-def _field_axioms(seed, cap):
+def _field_axioms(seed):
     checked = 0
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
         K = GF(q)
@@ -43,7 +43,7 @@ def _field_axioms(seed, cap):
     return True, f"{checked} triples over 10 fields"
 
 
-def _frobenius(seed, cap):
+def _frobenius(seed):
     qs = [q for q in range(2, 257) if zmodpoly.prime_power(q)]
     for q in qs:
         K = GF(q)
@@ -52,7 +52,7 @@ def _frobenius(seed, cap):
     return True, f"x^q = x over {len(qs)} fields up to GF(256)"
 
 
-def _lagrange_roundtrip(seed, cap):
+def _lagrange_roundtrip(seed):
     rng = random.Random(seed)
     checked = 0
     for q in (2, 3, 4):
@@ -82,7 +82,7 @@ def _lagrange_roundtrip(seed, cap):
     return True, f"{checked} tables (exhaustive q<=4, sampled 5,7,8)"
 
 
-def _embedding_homomorphism(seed, cap):
+def _embedding_homomorphism(seed):
     pairs = [(GF(2), GF(4)), (GF(2), GF(16)), (GF(4), GF(16))]
     for sub, sup in pairs:
         emb = field_embedding(sub, sup)
@@ -97,7 +97,7 @@ def _embedding_homomorphism(seed, cap):
     return True, "hom on (2->4),(2->16),(4->16); tower 4->16->256 commutes"
 
 
-def _boolean_axioms(seed, cap):
+def _boolean_axioms(seed):
     for atoms in (1, 2, 3, 4):
         B = BooleanRing(atoms)
         elems = list(B.elements())
@@ -110,7 +110,7 @@ def _boolean_axioms(seed, cap):
     return True, "exhaustive up to 4 atoms"
 
 
-def _boolean_derived_sum(seed, cap):
+def _boolean_derived_sum(seed):
     for q, atoms in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (3, 3)):
         R = StepRing(GF(q), BooleanRing(atoms))
         B = R.bool_ring
@@ -121,7 +121,7 @@ def _boolean_derived_sum(seed, cap):
     return True, "(a-b)^2 = symmetric difference inside GF(2),GF(3) step rings"
 
 
-def _boolean_primes(seed, cap):
+def _boolean_primes(seed):
     for atoms in (1, 2, 3, 4):
         B = BooleanRing(atoms)
         primes = B.prime_ideals()
@@ -133,7 +133,7 @@ def _boolean_primes(seed, cap):
     return True, "one prime per atom; 2-element quotients"
 
 
-def _step_normal_form(seed, cap):
+def _step_normal_form(seed):
     rng = random.Random(seed + 1)
     for _ in range(400):
         q = rng.choice((2, 3, 4, 5))
@@ -157,7 +157,7 @@ def _step_normal_form(seed, cap):
     return True, "400 random refinement rebuilds"
 
 
-def _step_ring_axioms(seed, cap):
+def _step_ring_axioms(seed):
     rng = random.Random(seed + 2)
     count = 0
     rings = [StepRing(GF(q), BooleanRing(a)) for q, a in
@@ -174,7 +174,7 @@ def _step_ring_axioms(seed, cap):
     return True, f"{count} random triples over {len(rings)} rings"
 
 
-def _step_regularity(seed, cap):
+def _step_regularity(seed):
     rng = random.Random(seed + 3)
     for _ in range(600):
         R = StepRing(GF(rng.choice((2, 3, 4, 9))), BooleanRing(rng.randint(1, 5)))
@@ -186,7 +186,7 @@ def _step_regularity(seed, cap):
     return True, "600 random quasi-inverse triples"
 
 
-def _support_conv_commute(seed, cap):
+def _support_conv_commute(seed):
     R = StepRing(GF(3), BooleanRing(2))
     B = R.bool_ring
     elems = list(R.elements())
@@ -199,7 +199,7 @@ def _support_conv_commute(seed, cap):
     return True, "support commutes with 2-block combinations on GF(3)^[B2]"
 
 
-def _residue_cover_equivalence(seed, cap):
+def _residue_cover_equivalence(seed):
     for q, atoms in ((2, 2), (3, 2), (4, 1)):
         K = GF(q)
         R = StepRing(K, BooleanRing(atoms))
@@ -234,7 +234,7 @@ def _extracts_all(R, elems, gens):
     return True
 
 
-def _idempotents_are_boolean(seed, cap):
+def _idempotents_are_boolean(seed):
     for q, atoms in ((2, 3), (3, 2), (4, 2)):
         R = StepRing(GF(q), BooleanRing(atoms))
         idems = [x for x in R.elements() if x * x == x]
@@ -243,7 +243,7 @@ def _idempotents_are_boolean(seed, cap):
     return True, "idempotents of K^[B] are exactly the atom subsets"
 
 
-def _structure_roundtrip(seed, cap):
+def _structure_roundtrip(seed):
     fields = [(2, 1), (3, 1), (2, 2)]
     count = 0
     for r in range(1, 4):
@@ -259,7 +259,7 @@ def _structure_roundtrip(seed, cap):
     return True, f"{count} signatures rebuilt and re-decomposed"
 
 
-def _presentation_invariance(seed, cap):
+def _presentation_invariance(seed):
     K4 = GF(4)
     R = ProductRing([(K4, 2)])
     g = K4.generator
@@ -279,7 +279,7 @@ def _presentation_invariance(seed, cap):
     return True, "generator sets, generator order, factor order"
 
 
-def _crt_cardinality(seed, cap):
+def _crt_cardinality(seed):
     R = ProductRing([(GF(2), 1), (GF(3), 1), (GF(4), 1)])
     T = generated_subring(full_presentation(R))
     parts = decompose_finite_reduced(T, assume_closed=True)
@@ -294,7 +294,7 @@ def _crt_cardinality(seed, cap):
     return True, f"|T| = {len(T)} = product of field orders"
 
 
-def _char_blocks(seed, cap):
+def _char_blocks(seed):
     R = ProductRing([(GF(2), 1), (GF(3), 1), (GF(4), 1)])
     blocks = char_decompose(R)
     assert R.char == 6
@@ -304,7 +304,7 @@ def _char_blocks(seed, cap):
     return True, "char 6 splits into prime blocks {2, 3}"
 
 
-def _contractive_equivalence(seed, cap):
+def _contractive_equivalence(seed):
     R = ProductRing([(GF(2), 2)])
     elems = R.cached_elements()
     agree = 0
@@ -317,7 +317,7 @@ def _contractive_equivalence(seed, cap):
     return True, f"{agree} self-maps of GF(2)^[B2]"
 
 
-def _polynomial_implies_contractive(seed, cap):
+def _polynomial_implies_contractive(seed):
     rng = random.Random(seed + 4)
     for ring in (ProductRing([(GF(2), 2)]), ProductRing([(GF(3), 1), (GF(2), 1)])):
         for _ in range(200):
@@ -327,7 +327,7 @@ def _polynomial_implies_contractive(seed, cap):
     return True, "200 random polynomials per ring stay contractive"
 
 
-def _support_map_contractive(seed, cap):
+def _support_map_contractive(seed):
     for ring in (ProductRing([(GF(2), 2)]), ProductRing([(GF(4), 1)]),
                  ProductRing([(GF(2), 1), (GF(4), 1)]), ProductRing([(GF(3), 2)])):
         f = MapTable.from_function(ring, lambda x: x.support())
@@ -338,7 +338,7 @@ def _support_map_contractive(seed, cap):
     return True, "support map contractive; support exponent verified"
 
 
-def _interpolation_roundtrip(seed, cap):
+def _interpolation_roundtrip(seed):
     R = ProductRing([(GF(3), 2)])
     count = 0
     for f in contractive_maps(R):
@@ -349,7 +349,7 @@ def _interpolation_roundtrip(seed, cap):
     return True, "all 729 contractive maps of GF(3)^[B2] interpolated"
 
 
-def _orbit_methods_agree(seed, cap):
+def _orbit_methods_agree(seed):
     rng = random.Random(seed + 5)
     rings = [ProductRing([(GF(2), 3)]), ProductRing([(GF(3), 2)]), ProductRing([(GF(4), 2)])]
     gens_for = {r: [r.scalar_at(i, k) for i, f in enumerate(r.factors) for k in f.field.elements()]
@@ -367,7 +367,7 @@ def _orbit_methods_agree(seed, cap):
     return True, f"{checked} random polynomial orbits, both methods"
 
 
-def _vraciu_quotients(seed, cap):
+def _vraciu_quotients(seed):
     fa = FieldAssignment(BooleanRing(4), (GF(2), GF(4), GF(2), GF(8)))
     rep = vraciu_build(fa)
     assert rep.ok
@@ -375,7 +375,7 @@ def _vraciu_quotients(seed, cap):
     return True, str(rep.signature)
 
 
-def _tower_membership(seed, cap):
+def _tower_membership(seed):
     rng = random.Random(seed + 6)
     for n in (1, 2):
         tr = tower_build(2, n)
@@ -388,7 +388,7 @@ def _tower_membership(seed, cap):
     return True, "formulations agree: exhaustive N<=2, 2000 samples at N=3"
 
 
-def _tower_closure(seed, cap):
+def _tower_closure(seed):
     tr = tower_build(2, 2)
     members = list(tr.members())
     assert len(members) == 64
@@ -397,14 +397,14 @@ def _tower_closure(seed, cap):
     return True, "all 64^2 pairs at q=2, N=2"
 
 
-def _gf4_kernel(seed, cap):
+def _gf4_kernel(seed):
     rep = gf4_kernel_check()
     assert rep.ok
     rejected = sum(1 for _, m in rep.candidates if m >= 1)
     return True, f"{rejected}/16 candidate polynomials rejected"
 
 
-def _serialization_roundtrip(seed, cap):
+def _serialization_roundtrip(seed):
     rng = random.Random(seed + 7)
     rings = [tio.parse_ring(s) for s in (
         "GF(2)^[B(atoms=3)]", "GF(3)^[B(atoms=2)]", "GF(4)^[B(atoms=2)]",
@@ -458,13 +458,13 @@ CHECKS = (
 )
 
 
-def run_selftest(seed: int = 20240801, exhaustive_cap: int = 4096, out=print):
+def run_selftest(seed: int = 20240801, out=print):
     """Run every suite; returns True iff all pass."""
     failures = 0
     results = []
     for name, fn in CHECKS:
         try:
-            ok, detail = fn(seed, exhaustive_cap)
+            ok, detail = fn(seed)
         except AssertionError as exc:
             ok, detail = False, f"assertion: {exc}"
         except Exception as exc:  # surface, keep running the rest

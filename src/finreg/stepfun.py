@@ -33,7 +33,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .boolean import BooleanRing, BoolElem, is_partition_of_unity
+from .boolean import BooleanRing, BoolElem
 from .errors import CapExceeded, VerificationError
 from .fields import FieldElem, FiniteField
 
@@ -341,9 +341,6 @@ class StepElem:
             if v:
                 m |= mask
         return m
-
-    def support_mask(self) -> BoolElem:
-        return self.ring.bool_ring.from_mask(self.support_mask_int())
 
     def support(self) -> "StepElem":
         """The idempotent generating the same principal ideal: 1 where x != 0."""

@@ -62,7 +62,6 @@ def split_top_level(text: str, sep: str):
 
 _FIELD_RE = re.compile(r"^GF\((\d+)(?:\^(\d+))?\)$")
 _FACTOR_RE = re.compile(r"^(GF\(\d+(?:\^\d+)?\))\^\[B\(atoms=(\d+)\)\]$")
-_BRING_RE = re.compile(r"^B\(atoms=(\d+)\)$")
 
 
 def parse_field(text: str) -> FiniteField:
@@ -82,13 +81,6 @@ def parse_field(text: str) -> FiniteField:
         return GF(base)
     except ValueError as exc:
         raise ParseError(str(exc), text, 3) from None
-
-
-def parse_bool_ring(text: str) -> BooleanRing:
-    m = _BRING_RE.match(text.strip())
-    if not m:
-        raise ParseError(f"bad Boolean ring {text!r}", text, 0)
-    return BooleanRing(int(m.group(1)))
 
 
 def parse_ring(text: str) -> ProductRing:
@@ -231,10 +223,6 @@ def parse_map_lines(ring: ProductRing, lines) -> MapTable:
     return MapTable(ring, mapping)
 
 
-def format_map(table: MapTable) -> str:
-    return "\n".join(f"{x} -> {y}" for x, y in table.items())
-
-
 # ---------------------------------------------------------------------------
 # workspace
 
@@ -285,7 +273,7 @@ class Workspace:
                 out.append(f"poly {name} @ {ring} = {value}")
             elif kind == "map":
                 out.append(f"map {name} @ {ring} = {{")
-                out.append(format_map(value))
+                out.append(str(value))
                 out.append("}")
             else:
                 raise ValueError(f"unknown binding kind {kind!r}")

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from finreg.errors import CapExceeded
 from finreg.fields import GF
 from finreg.products import ProductRing
-from finreg.polymaps import (MapTable, PolyMap, as_table, commutes_with_conv,
+from finreg.polymaps import (CONV_CHECK_BUDGET, MapTable, PolyMap, as_table,
+                             boolean_subring_size, commutes_with_conv,
                              contractive_maps, contractive_to_polynomial,
                              is_contractive, is_polynomial, iteration_orbit,
                              per_atom_functions, polynomial_witness_bruteforce,
@@ -28,6 +30,71 @@ def is_contractive_pairs(f):
             if any(m & ~d for m, d in zip(img, dom)):
                 return False, (x, y)
     return True, None
+
+
+def commutes_with_conv_nblock(f: MapTable, *, budget: int = CONV_CHECK_BUDGET):
+    """The reference for commutes_with_conv: two-block families, then the
+    full n-block definition on rings with at most three atoms."""
+    ring = f.ring
+    elems = ring.cached_elements(len(f.mapping))
+    profiles = list(ring.idempotent_profiles())
+    fulls = tuple(fac.bool_ring.full_mask for fac in ring.factors)
+    if len(profiles) * len(elems) ** 2 > budget:
+        raise CapExceeded("two-block conv check exceeds the budget")
+    for prof in profiles:
+        comp = tuple(full ^ m for full, m in zip(fulls, prof))
+        a = ring.from_profile(prof)
+        b = ring.from_profile(comp)
+        for x in elems:
+            ax_f = a * f.mapping[x]
+            for y in elems:
+                lhs = f.mapping[ring.convex((a, b), (x, y))]
+                if lhs != ax_f + b * f.mapping[y]:
+                    return False, ((a, b), (x, y))
+    atoms = ring.total_atoms
+    if atoms <= 3:
+        labels = ring.prime_labels()
+        for n in range(1, atoms + 1):
+            combos = n ** atoms * len(elems) ** n
+            if combos > budget:
+                continue
+            for assignment in itertools.product(range(n), repeat=atoms):
+                profs = []
+                for slot in range(n):
+                    masks = [0] * len(ring.factors)
+                    for pos, target in enumerate(assignment):
+                        if target == slot:
+                            fi, aj = labels[pos]
+                            masks[fi] |= 1 << aj
+                    profs.append(tuple(masks))
+                coeffs = [ring.from_profile(p) for p in profs]
+                for values in itertools.product(elems, repeat=n):
+                    lhs = f.mapping[ring.convex(coeffs, values)]
+                    rhs = ring.zero
+                    for c, v in zip(coeffs, values):
+                        rhs = rhs + c * f.mapping[v]
+                    if lhs != rhs:
+                        return False, (tuple(coeffs), values)
+    return True, None
+
+
+def _boolean_closure(profiles, ring):
+    """The reference for boolean_subring_size: closure of the given
+    idempotent profiles under ring sum and product."""
+    known = set(profiles)
+    frontier = list(known)
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in list(known):
+                s = tuple(x ^ y for x, y in zip(a, b))
+                m = tuple(x & y for x, y in zip(a, b))
+                for c in (s, m):
+                    if c not in known:
+                        known.add(c)
+                        new.append(c)
+        frontier = new
+    return known
 
 
 def violates_definition(f, x, y):
@@ -172,6 +239,8 @@ def test_orbit_methods_agree_on_random_polynomials():
             f = random_polymap(ring, rng)
             cert = iteration_orbit(f, gens=gens)
             assert cert.methods_agree
+            entries = [prof for col in cert.matrices[0] for prof in col]
+            assert cert.boolean_subring_size == len(_boolean_closure(entries, ring))
             # every certificate matrix keeps orthogonal-partition columns
             for matrix in cert.matrices:
                 for col in matrix:
@@ -335,3 +404,37 @@ def test_prime_scan_on_729_elements_agrees_with_per_atom_functions():
             assert violates_definition(f, *witness)
         outcomes.add(ok)
     assert outcomes == {True, False}
+
+
+def test_two_block_conv_check_matches_the_n_block_definition_on_every_small_map():
+    failures = 0
+    for ring in (P((2, 2)), P((4, 1)), P((2, 1), (2, 1)), P((3, 1))):
+        elems = ring.cached_elements()
+        for images in itertools.product(elems, repeat=len(elems)):
+            f = MapTable(ring, dict(zip(elems, images)))
+            expected = commutes_with_conv_nblock(f)
+            assert commutes_with_conv(f) == expected, (ring, images)
+            failures += not expected[0]
+    assert failures > 0
+
+
+def test_two_block_conv_check_matches_the_n_block_definition_on_three_atoms():
+    ring = P((2, 3))
+    rng = random.Random(37)
+    outcomes = set()
+    for changes in (0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 3, 3, 3, 4, 4):
+        f = perturbed(random_polymap(ring, rng).induced_table(), rng, changes)
+        expected = commutes_with_conv_nblock(f)
+        assert commutes_with_conv(f) == expected, changes
+        outcomes.add(expected[0])
+    assert outcomes == {True, False}
+
+
+def test_boolean_subring_size_matches_the_closure_on_seeded_families():
+    rng = random.Random(41)
+    for _ in range(300):
+        ring = P(*[(2, rng.randint(1, 3)) for _ in range(rng.randint(2, 3))])
+        fulls = [fac.bool_ring.full_mask for fac in ring.factors]
+        profiles = [tuple(rng.randint(0, full) for full in fulls)
+                    for _ in range(rng.randint(1, 4))]
+        assert boolean_subring_size(profiles, ring) == len(_boolean_closure(profiles, ring))

@@ -10,7 +10,7 @@ from finreg.fields import GF
 from finreg.products import (ProductElem, ProductRing, RingSignature,
                              SubringPresentation, char_decompose, decompose_finite_reduced,
                              extract_combination, full_presentation,
-                             generated_subring, idempotent_power, iso_test,
+                             generated_subring, iso_test,
                              residue_field_signature, ring_char,
                              ring_from_signature, structure_decompose)
 from finreg import products, stepfun
@@ -136,20 +136,6 @@ def test_generated_subring_cap_in_span_phase():
         generated_subring(pres, cap=6)
     with pytest.raises(CapExceeded):
         generated_subring(pres, cap=2)
-
-
-def test_idempotent_power_examples():
-    # the repeated-squaring trap: the GF(4) generator has odd unit order
-    R = P((4, 1))
-    g = R.scalar_at(0, GF(4).generator)
-    assert idempotent_power(g) == R.one
-    # stabilized power equals the support idempotent in a regular ambient
-    import random
-    rng = random.Random(9)
-    R2 = P((4, 2), (3, 1))
-    for _ in range(100):
-        t = R2.random_element(rng)
-        assert idempotent_power(t) == t.support()
 
 
 def test_decompose_z6_prime_subring():

@@ -87,7 +87,7 @@ def test_polymap_and_signature_roundtrip():
 def test_map_lines_roundtrip():
     ring = tio.parse_ring("GF(2)^[B(atoms=2)]")
     table = MapTable.from_function(ring, lambda x: x * x)
-    text = tio.format_map(table)
+    text = str(table)
     again = tio.parse_map_lines(ring, text.splitlines())
     assert again == table
     with pytest.raises(ParseError):
@@ -96,7 +96,7 @@ def test_map_lines_roundtrip():
 
 def test_map_lines_duplicate_key():
     ring = tio.parse_ring("GF(2)^[B(atoms=2)]")
-    lines = tio.format_map(MapTable.from_function(ring, lambda x: x)).splitlines()
+    lines = str(MapTable.from_function(ring, lambda x: x)).splitlines()
     with pytest.raises(ParseError, match="duplicate map entry"):
         tio.parse_map_lines(ring, lines + lines[:1])
 
