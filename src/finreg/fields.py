@@ -5,14 +5,21 @@ modulus (constant coefficient varying fastest), so element coefficient
 vectors mean the same thing across runs and processes.  Elements are
 immutable; fields are interned, so field equality is identity.
 
+An element is named by its canonical index, the base-p value of its
+coefficient vector.  Arithmetic lives in the field's index kernels `add_i`,
+`neg_i`, `sub_i`, `mul_i`, `pow_i` and `inv_i`, which map indices to
+indices; FieldElem's operators wrap them, and step-element arithmetic calls
+them directly without building FieldElem objects.
+
 Fields of at most INTERN_CAP = 2^16 elements intern every element and keep
 three 16-bit tables of about q entries over the log base g, the primitive
 element of least index (often not the class of X, which is not primitive in
 GF(9), GF(256), GF(4096) or GF(65536)): `_log[i]` is the log of the element
 of index i, `_exp[k]` the index of g^k and `_zech[k]` the Zech logarithm
-log(1 + g^k).  Products, quotients, inverses and powers add logs mod q - 1;
-a sum g^a + g^b = g^(a + Z(b - a)) is one Zech lookup (Lidl and Niederreiter,
-Finite Fields, ch. 9).  Larger fields compute on coefficient vectors.
+log(1 + g^k).  On these fields the kernels add logs mod q - 1 for products,
+quotients, inverses and powers, and a sum g^a + g^b = g^(a + Z(b - a)) is one
+Zech lookup (Lidl and Niederreiter, Finite Fields, ch. 9).  Above INTERN_CAP
+the same kernels compute on coefficient vectors.
 
 Subfield embeddings follow a least-root rule constrained to agree with the
 already-fixed embeddings of every maximal proper subfield, which makes the
@@ -40,13 +47,13 @@ _FIELDS: dict = {}
 
 def finite_field(p: int, n: int = 1, *, degree_cap: int = DEGREE_CAP) -> "FiniteField":
     """The canonical GF(p^n); memoized, so identical calls share one object."""
+    field = _FIELDS.get((p, n)) if isinstance(p, int) and isinstance(n, int) else None
+    if field is not None:
+        return field
     if not isinstance(p, int) or not zp.is_prime(p):
         raise ValueError(f"{p!r} is not a prime")
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"extension degree must be a positive integer, got {n!r}")
-    field = _FIELDS.get((p, n))
-    if field is not None:
-        return field
     if n > degree_cap:
         raise CapExceeded(f"degree {n} exceeds the cap {degree_cap} for GF({p}^{n})")
     field = FiniteField(p, n)
@@ -76,66 +83,49 @@ class FieldElem:
         self.coeffs = coeffs
         self.index = index
 
-    def _coerce(self, other):
+    def _index_of(self, other):
+        """Index of an element of this field, or of the image of an integer;
+        None for anything else."""
         if isinstance(other, FieldElem):
             if other.field is not self.field:
                 raise ValueError(f"mixed fields: {self.field} vs {other.field}")
-            return other
+            return other.index
         if isinstance(other, int):
-            return self.field.from_int(other)
+            return other % self.field.p
         return None
 
+    # each operator takes its operand's index inline in the common case, a
+    # FieldElem of the same field, to save a call per operation
+
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         f = self.field
-        if f._exp is None:
-            p = f.p
-            return f._from_coeffs_raw(tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs)))
-        i, j = self.index, o.index
-        if not j:
-            return self
-        if not i:
-            return o
-        a = f._log[i]
-        z = f._zech[f._log[j] - a]
-        m = f.q - 1
-        if z == m:
-            return f._elems[0]
-        return f._elems[f._exp[a + z - m]]
+        j = other.index if other.__class__ is FieldElem and other.field is f else self._index_of(other)
+        if j is None:
+            return NotImplemented
+        return f._elem(f.add_i(self.index, j))
 
     __radd__ = __add__
 
     def __neg__(self):
         f = self.field
-        p = f.p
-        if p == 2 or not self.index:
-            return self
-        if f._exp is None:
-            return f._from_coeffs_raw(tuple(p - a if a else 0 for a in self.coeffs))
-        return f._elems[f._exp[f._log[self.index] - (f.q - 1) // 2]]     # -1 = g^((q-1)/2)
+        return f._elem(f.neg_i(self.index))
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        f = self.field
+        j = other.index if other.__class__ is FieldElem and other.field is f else self._index_of(other)
+        if j is None:
             return NotImplemented
-        return self + (-o)
+        return f._elem(f.sub_i(self.index, j))
 
     def __rsub__(self, other):
         return -self + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         f = self.field
-        if f._exp is None:
-            return f._from_coeffs_raw(f._mul_coeffs(self.coeffs, o.coeffs))
-        i, j = self.index, o.index
-        if not i or not j:
-            return f._elems[0]
-        return f._elems[f._exp[f._log[i] + f._log[j] - f.q + 1]]    # _exp[-k] is _exp[q - 1 - k]
+        j = other.index if other.__class__ is FieldElem and other.field is f else self._index_of(other)
+        if j is None:
+            return NotImplemented
+        return f._elem(f.mul_i(self.index, j))
 
     __rmul__ = __mul__
 
@@ -143,33 +133,18 @@ class FieldElem:
         if not isinstance(e, int):
             return NotImplemented
         f = self.field
-        if f._exp is not None and self.index:
-            return f._elems[f._exp[f._log[self.index] * e % (f.q - 1)]]
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = f.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return f._elem(f.pow_i(self.index, e))
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        f = self.field
+        j = other.index if other.__class__ is FieldElem and other.field is f else self._index_of(other)
+        if j is None:
             return NotImplemented
-        return self * o.inverse()
+        return f._elem(f.mul_i(self.index, f.inv_i(j)))
 
     def inverse(self):
-        if self.index == 0:
-            raise ZeroDivisionError(f"0 has no inverse in {self.field}")
         f = self.field
-        if f._exp is not None:
-            return f._elems[f._exp[-f._log[self.index]]]
-        return self ** (f.q - 2)
+        return f._elem(f.inv_i(self.index))
 
     def residue_degree(self) -> int:
         """Least d (dividing n) with x^(p^d) = x: x generates GF(p^d)."""
@@ -216,7 +191,7 @@ class FieldElem:
 class FiniteField:
     """GF(p^n) presented by the canonical modulus.  Construct via finite_field/GF."""
 
-    __slots__ = ("p", "n", "q", "modulus", "_elems", "_log", "_exp", "_zech")
+    __slots__ = ("p", "n", "q", "modulus", "_elems", "_elem", "_log", "_exp", "_zech")
 
     def __init__(self, p, n):
         self.p = p
@@ -224,6 +199,7 @@ class FiniteField:
         self.q = p ** n
         self.modulus = zp.least_irreducible(p, n) if n > 1 else (0, 1)
         self._elems = self._log = self._exp = self._zech = None
+        self._elem = self._new_elem         # index -> FieldElem
         if self.q <= INTERN_CAP:
             self._build_log_tables()
 
@@ -239,11 +215,10 @@ class FiniteField:
         # product() varies the last digit fastest; the index varies the constant
         self._elems = elems = [FieldElem(self, c[::-1], i)
                                for i, c in enumerate(product(range(p), repeat=n))]
-        # until _exp is set, element arithmetic runs on coefficients
-        one = elems[1]
+        self._elem = elems.__getitem__
+        # until _log and _exp are set, the index kernels run on coefficients
         primes = zp.prime_divisors(m)
-        base = next(x for x in elems if x and all(x ** (m // r) is not one for r in primes))
-        b = base.index
+        b = next(i for i in range(1, m + 1) if all(self.pow_i(i, m // r) != 1 for r in primes))
         if p == 2:      # the index is the packed coefficient bitmask
             mod = zp.pack2(self.modulus)
 
@@ -253,8 +228,10 @@ class FiniteField:
             def step(v):
                 return v * b % p
         else:
+            bc = elems[b].coeffs
+
             def step(v):    # the sparse base drives zmodpoly.mul's outer loop
-                return (base * elems[v]).index
+                return self._coeffs_to_index(self._mul_coeffs(bc, elems[v].coeffs))
         # 16-bit tables: exp[k] is the index of g^k, log[i] the log of the
         # element of index i, with m standing for the log of 0
         exp = array("H", [0]) * m
@@ -265,7 +242,7 @@ class FiniteField:
             log[v] = k
             v = step(v)
         if log.count(m) != 1:
-            raise VerificationError(f"log base {base} of {self} is not primitive")
+            raise VerificationError(f"log base {elems[b]} of {self} is not primitive")
         # zech[k] = log(1 + g^k).  Adding 1 moves an index to the next one in
         # its block of p indices (the constant coefficient is the lowest
         # base-p digit), so rotate log by one within every block.
@@ -274,10 +251,77 @@ class FiniteField:
         self._zech = array("H", map(succ.__getitem__, exp))
         self._log, self._exp = log, exp
 
+    # -- index kernels -------------------------------------------------------
+    # Arithmetic on canonical indices, the one home of the table formulas:
+    # FieldElem's operators and step-element arithmetic both call these.
+
+    def add_i(self, i: int, j: int) -> int:
+        if not j:
+            return i
+        if not i:
+            return j
+        log = self._log
+        if log is None:
+            p = self.p
+            return self._coeffs_to_index(tuple((a + b) % p for a, b in zip(
+                self._index_to_coeffs(i), self._index_to_coeffs(j))))
+        a = log[i]
+        z = self._zech[log[j] - a]      # g^a + g^b = g^(a + Z(b - a))
+        m = self.q - 1
+        return 0 if z == m else self._exp[a + z - m]
+
+    def neg_i(self, i: int) -> int:
+        p = self.p
+        if p == 2 or not i:
+            return i
+        if self._log is None:
+            return self._coeffs_to_index(tuple(-a % p for a in self._index_to_coeffs(i)))
+        return self._exp[self._log[i] - (self.q - 1) // 2]     # -1 = g^((q-1)/2)
+
+    def sub_i(self, i: int, j: int) -> int:
+        return self.add_i(i, self.neg_i(j))
+
+    def mul_i(self, i: int, j: int) -> int:
+        if not i or not j:
+            return 0
+        log = self._log
+        if log is None:
+            return self._coeffs_to_index(self._mul_coeffs(self._index_to_coeffs(i),
+                                                          self._index_to_coeffs(j)))
+        return self._exp[log[i] + log[j] - self.q + 1]    # _exp[-k] is _exp[q - 1 - k]
+
+    def pow_i(self, i: int, e: int) -> int:
+        if self._log is not None and i:
+            return self._exp[self._log[i] * e % (self.q - 1)]
+        if e < 0:
+            return self.pow_i(self.inv_i(i), -e)
+        result = 1
+        while e:
+            if e & 1:
+                result = self.mul_i(result, i)
+            e >>= 1
+            if e:
+                i = self.mul_i(i, i)
+        return result
+
+    def inv_i(self, i: int) -> int:
+        if not i:
+            raise ZeroDivisionError(f"0 has no inverse in {self}")
+        if self._log is not None:
+            return self._exp[-self._log[i]]
+        return self.pow_i(i, self.q - 2)
+
     # -- element construction ----------------------------------------------
 
     def _index_to_coeffs(self, i):
-        return tuple(i // self.p ** k % self.p for k in range(self.n))
+        if self._elems is not None:
+            return self._elems[i].coeffs
+        p = self.p
+        coeffs = []
+        for _ in range(self.n):
+            i, c = divmod(i, p)
+            coeffs.append(c)
+        return tuple(coeffs)
 
     def _coeffs_to_index(self, coeffs):
         i = 0
@@ -285,25 +329,21 @@ class FiniteField:
             i = i * self.p + c
         return i
 
-    def _from_coeffs_raw(self, coeffs):
-        i = self._coeffs_to_index(coeffs)
-        if self._elems is not None:
-            return self._elems[i]
-        return FieldElem(self, coeffs, i)
+    def _new_elem(self, i):
+        return FieldElem(self, self._index_to_coeffs(i), i)
 
     def from_index(self, i: int) -> FieldElem:
         if not 0 <= i < self.q:
             raise ValueError(f"element index {i} out of range for {self}")
-        if self._elems is not None:
-            return self._elems[i]
-        return FieldElem(self, self._index_to_coeffs(i), i)
+        return self._elem(i)
 
     def from_coeffs(self, coeffs) -> FieldElem:
         coeffs = tuple(int(c) % self.p for c in coeffs)
         if len(coeffs) > self.n:
             raise ValueError(f"too many coefficients for {self}")
         coeffs = coeffs + (0,) * (self.n - len(coeffs))
-        return self._from_coeffs_raw(coeffs)
+        i = self._coeffs_to_index(coeffs)
+        return self._elems[i] if self._elems is not None else FieldElem(self, coeffs, i)
 
     def from_int(self, k: int) -> FieldElem:
         """Image of the integer k under the ring map Z -> GF(p^n)."""

@@ -161,7 +161,7 @@ class TowerRing:
             # subsets of atoms {i, ..., N-1}
             outside = 0
             for mask, v in u.blocks:
-                if not self.in_subfield(v, i):
+                if not self.in_subfield(self.universe.from_index(v), i):
                     outside |= mask
             allowed = full & ~((1 << i) - 1) if i <= self.n_atoms else 0
             if outside & ~allowed:
@@ -170,7 +170,7 @@ class TowerRing:
 
     def _member_by_levels(self, u: StepElem) -> bool:
         for mask, v in u.blocks:
-            level = self.value_level(v)
+            level = self.value_level(self.universe.from_index(v))
             m = mask
             while m:
                 atom = (m & -m).bit_length() - 1

@@ -14,16 +14,20 @@ polynomial (and the result is verified against the whole table before it is
 returned), and a brute-force witness search over all small coefficient
 tuples serves as an independent oracle.
 
-Iteration finiteness is witnessed two ways: plain cycle detection on
-composed tables, and the coefficient-matrix iteration over the finite
-Boolean subring generated by the convex coordinates of f on a generating
-family, whose size is counted prime by prime.  Both must agree on the orbit
-size.
+Iteration finiteness is witnessed two ways, which must agree on tail and
+period.  The table method reads them off the functional graph of f in one
+pass: the tail from the longest path into a cycle, the period as the lcm of
+the cycle lengths.  The matrix method iterates the coefficient matrix of f
+on a generating family over the finite Boolean subring its entries generate
+(whose size is counted prime by prime); each iterate's key is, at every
+prime, the value index of the one generator its column's masks select
+there, so no ring element is built per step.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -167,8 +171,8 @@ def is_contractive(f: MapTable):
     for label in ring.prime_labels():
         suffix = {}
         for i in range(len(elems) - 1, -1, -1):
-            v = elems[i].value_at(label)
-            w = images[i].value_at(label)
+            v = elems[i].index_at(label)
+            w = images[i].index_at(label)
             seen = suffix.get(v)
             if seen is None:
                 suffix[v] = w
@@ -281,10 +285,13 @@ def iteration_orbit(f, gens=None, cap: int = ORBIT_CAP) -> IterationCertificate:
     # m1[j][i] = coefficient of gens[i] in f(gens[j]); columns indexed by j
     columns = m1
     matrices = [tuple(columns)]
+    widths = tuple(fac.atom_count for fac in ring.factors)
+    gen_values = [tuple(tuple(part.index_at(j) for j in range(w)) for part, w in zip(g.parts, widths))
+                  for g in gens]
     seen = {}
     k = 1
     while True:
-        values = tuple(ring.convex([ring.from_profile(p) for p in col], gens) for col in columns)
+        values = tuple(_column_values(col, gen_values, widths) for col in columns)
         first = seen.get(values)
         if first is not None:
             m_tail = first - 1
@@ -307,36 +314,79 @@ def iteration_orbit(f, gens=None, cap: int = ORBIT_CAP) -> IterationCertificate:
 
 
 def _table_orbit(table: MapTable, cap: int):
-    seen = {}
-    cur = table
-    k = 1
-    while True:
-        key = cur.key()
-        first = seen.get(key)
-        if first is not None:
-            tail = first - 1
-            period = k - first
-            return tail + period, tail, period
-        seen[key] = k
-        if k > cap:
-            raise CapExceeded(f"table orbit exceeded the cap {cap}")
-        cur = cur.then(table)
-        k += 1
+    """(size, tail, period) of f, f^2, ..., read off the functional graph of f.
+
+    Every x reaches a cycle after h(x) steps, and f^a(x) = f^b(x) for a < b
+    exactly when a >= h(x) and the cycle length divides b - a.  So the first
+    repeat among the powers from f^1 on is f^(tail + 1) with tail =
+    max(h, 1) - 1, h the largest distance to a cycle, and period the lcm of
+    the cycle lengths.
+    """
+    elems = table.ring.cached_elements(len(table.mapping))
+    position = {x: i for i, x in enumerate(elems)}
+    succ = [position[table.mapping[x]] for x in elems]
+    depth = [-1] * len(succ)        # distance to the cycle, once known
+    height = 0
+    period = 1
+    for start in range(len(succ)):
+        walk = {}                   # node -> position on this walk
+        x = start
+        while depth[x] < 0 and x not in walk:
+            walk[x] = len(walk)
+            x = succ[x]
+        path = list(walk)
+        if depth[x] < 0:            # the walk closed a new cycle at x
+            cut = walk[x]
+            period = math.lcm(period, len(path) - cut)
+            for y in path[cut:]:
+                depth[y] = 0
+            del path[cut:]
+        d = depth[x]
+        for y in reversed(path):
+            d += 1
+            depth[y] = d
+        height = max(height, d)
+    tail = max(height, 1) - 1
+    if tail + period > cap:
+        raise CapExceeded(f"table orbit exceeded the cap {cap}")
+    return tail + period, tail, period
+
+
+def _column_values(col, gen_values, widths):
+    """Per factor, the value index at every atom of sum_r col[r] * gens[r]:
+    at each prime, the value of the one generator whose mask covers it.
+    Raises VerificationError unless col is a complete orthogonal family."""
+    out = []
+    for i, width in enumerate(widths):
+        row = [None] * width
+        for prof, values in zip(col, gen_values):
+            m = prof[i]
+            while m:
+                low = m & -m
+                j = low.bit_length() - 1
+                if row[j] is not None:
+                    raise VerificationError(f"matrix column {col} has overlapping masks")
+                row[j] = values[i][j]
+                m ^= low
+        if None in row:
+            raise VerificationError(f"matrix column {col} does not cover every prime")
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def _matrix_column_step(col, m1):
     # next column t-entry: union over r of col[r] & m1[r][t]; the terms are
-    # disjoint because col is a complete orthogonal family
-    n = len(col)
+    # disjoint because col is a complete orthogonal family, so only its
+    # nonzero entries contribute
+    rows = [(prof, m1[r]) for r, prof in enumerate(col) if any(prof)]
     width = len(col[0])
     out = []
-    for t in range(n):
+    for t in range(len(col)):
         masks = [0] * width
-        for r in range(n):
-            prof_cr = col[r]
-            prof_rt = m1[r][t]
+        for prof, row in rows:
+            prof_rt = row[t]
             for i in range(width):
-                masks[i] |= prof_cr[i] & prof_rt[i]
+                masks[i] |= prof[i] & prof_rt[i]
         out.append(tuple(masks))
     return tuple(out)
 

@@ -211,7 +211,7 @@ class ProductElem:
     def __init__(self, ring, parts):
         self.ring = ring
         self.parts = parts
-        self._hash = hash(parts)
+        self._hash = None       # computed on first use
 
     def _coerce(self, other):
         if isinstance(other, ProductElem):
@@ -269,6 +269,9 @@ class ProductElem:
     def value_at(self, label) -> FieldElem:
         return self.parts[label[0]].value_at(label[1])
 
+    def index_at(self, label) -> int:
+        return self.parts[label[0]].index_at(label[1])
+
     def __bool__(self):
         return any(self.parts)
 
@@ -278,7 +281,10 @@ class ProductElem:
         return NotImplemented
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.parts)
+        return h
 
     def sort_key(self):
         return tuple(p.sort_key() for p in self.parts)

@@ -142,7 +142,8 @@ def _step_normal_form(seed):
         x = R.random_element(rng)
         # rebuild from artificially split blocks, in shuffled order
         pairs = []
-        for mask, v in x.blocks:
+        for mask, i in x.blocks:
+            v = R.field.from_index(i)
             m = mask
             while m:
                 bit = m & -m

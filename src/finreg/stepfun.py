@@ -2,11 +2,15 @@
 
 An element is a partition of the atom universe into blocks, each labelled
 with a distinct field value: exactly the locally constant functions from the
-(discrete, finite) spectrum of the Boolean ring into K.  The normal form
-(nonempty disjoint covering blocks, pairwise distinct values, blocks sorted
-by value) makes structural equality semantic equality, and keeps elements
-small even over huge atom universes: an element costs one block per distinct
-value, never one slot per atom.
+(discrete, finite) spectrum of the Boolean ring into K.  `StepElem.blocks`
+holds (atom mask, value index) pairs of ints, the index being K's canonical
+element index.  The normal form (nonempty disjoint covering blocks, pairwise
+distinct values, blocks sorted by index) makes structural equality semantic
+equality, and keeps elements small even over huge atom universes: an element
+costs one block per distinct value, never one slot per atom.  Arithmetic
+runs on the common refinement of two partitions through K's index kernels
+(`FiniteField.add_i`, `mul_i`, ...), so it builds no FieldElem; values become
+FieldElems only where they are read out (`value_at`, `values`, `__str__`).
 
 Scalars embed as single-block elements, Boolean elements embed as 0/1-valued
 indicators, and those indicators are exactly the idempotents of the ring.
@@ -95,12 +99,20 @@ class StepRing:
     def one(self):
         return self.scalar(self.field.one)
 
+    def _value_index(self, v):
+        """The field index of a value of this ring's field, or of the image of
+        an integer; None for anything else."""
+        if isinstance(v, int):
+            return v % self.field.p
+        if isinstance(v, FieldElem) and v.field is self.field:
+            return v.index
+        return None
+
     def scalar(self, k) -> "StepElem":
-        if isinstance(k, int):
-            k = self.field.from_int(k)
-        elif not isinstance(k, FieldElem) or k.field is not self.field:
+        i = self._value_index(k)
+        if i is None:
             raise ValueError(f"{k!r} is not a scalar of {self.field}")
-        return StepElem(self, ((self.bool_ring.full_mask, k),))
+        return StepElem(self, ((self.bool_ring.full_mask, i),))
 
     def indicator(self, b) -> "StepElem":
         """The 0/1-valued step function equal to 1 exactly on b."""
@@ -119,30 +131,30 @@ class StepRing:
             return self.zero
         if mask == full:
             return self.one
-        return StepElem(self, ((full ^ mask, self.field.zero), (mask, self.field.one)))
+        return StepElem(self, ((full ^ mask, 0), (mask, 1)))
 
     def from_values(self, values) -> "StepElem":
         """Build from one field value per atom (atom j gets values[j])."""
         values = list(values)
         if len(values) != self.bool_ring.atom_count:
             raise ValueError(f"expected {self.bool_ring.atom_count} values, got {len(values)}")
-        acc = {}
-        for j, v in enumerate(values):
-            if isinstance(v, int):
-                v = self.field.from_int(v)
-            if not isinstance(v, FieldElem) or v.field is not self.field:
+        indices = []
+        for v in values:
+            i = self._value_index(v)
+            if i is None:
                 raise ValueError(f"value {v!r} is not in {self.field}")
-            if v.index in acc:
-                acc[v.index] = (acc[v.index][0] | (1 << j), v)
-            else:
-                acc[v.index] = (1 << j, v)
-        return StepElem(self, tuple(acc[i] for i in sorted(acc)))
+            indices.append(i)
+        return self._from_indices(indices)
+
+    def _from_indices(self, indices) -> "StepElem":
+        acc = {}
+        for j, i in enumerate(indices):
+            acc[i] = acc.get(i, 0) | (1 << j)
+        return StepElem(self, _normal(acc))
 
     def from_blocks(self, pairs) -> "StepElem":
         """Build from (atom set, value) pairs; validates a partition."""
-        acc = {}
-        union = 0
-        total = 0
+        blocks = []
         for part, value in pairs:
             if isinstance(part, BoolElem):
                 if part.ring != self.bool_ring:
@@ -150,21 +162,25 @@ class StepRing:
                 mask = part.mask
             else:
                 mask = int(part)
-            if isinstance(value, int):
-                value = self.field.from_int(value)
-            if not isinstance(value, FieldElem) or value.field is not self.field:
+            i = self._value_index(value)
+            if i is None:
                 raise ValueError(f"value {value!r} is not in {self.field}")
-            if mask == 0:
-                continue
-            union |= mask
-            total += mask.bit_count()
-            if value.index in acc:
-                acc[value.index] = (acc[value.index][0] | mask, value)
-            else:
-                acc[value.index] = (mask, value)
+            blocks.append((mask, i))
+        return self._partition(blocks)
+
+    def _partition(self, blocks) -> "StepElem":
+        """The element of (mask, index) pairs, which must partition the atoms."""
+        acc = {}
+        union = 0
+        total = 0
+        for mask, i in blocks:
+            if mask:
+                union |= mask
+                total += mask.bit_count()
+                acc[i] = acc.get(i, 0) | mask
         if union != self.bool_ring.full_mask or total != self.bool_ring.atom_count:
             raise ValueError("blocks must partition the atom universe")
-        return StepElem(self, tuple(acc[i] for i in sorted(acc)))
+        return StepElem(self, _normal(acc))
 
     def coerce(self, v) -> "StepElem":
         if isinstance(v, StepElem):
@@ -182,20 +198,20 @@ class StepRing:
         if self.size > cap:
             raise CapExceeded(f"{self} has {size_text((self,))} elements, above the cap {cap}")
         q = self.field.q
-        atoms = self.bool_ring.atom_count
+        atoms = range(self.bool_ring.atom_count)
         for idx in range(self.size):
-            vals = []
+            digits = []
             t = idx
-            for _ in range(atoms):
-                vals.append(self.field.from_index(t % q))
-                t //= q
-            yield self.from_values(vals)
+            for _ in atoms:
+                t, i = divmod(t, q)
+                digits.append(i)
+            yield self._from_indices(digits)
 
     def element_index(self, x: "StepElem") -> int:
         q = self.field.q
         idx = 0
         for j in range(self.bool_ring.atom_count - 1, -1, -1):
-            idx = idx * q + x.value_at(j).index
+            idx = idx * q + x.index_at(j)
         return idx
 
     def random_element(self, rng: random.Random) -> "StepElem":
@@ -221,25 +237,26 @@ class StepRing:
         values = [self.coerce(v) for v in values]
         if len(masks) != len(values):
             raise ValueError("coefficient and value sequences differ in length")
-        pairs = []
-        for mask, val in zip(masks, values):
-            if not mask:
-                continue
-            for bmask, bval in val.blocks:
-                m = bmask & mask
-                if m:
-                    pairs.append((m, bval))
-        return self.from_blocks(pairs)
+        return self._partition([(bmask & mask, i) for mask, val in zip(masks, values)
+                                for bmask, i in val.blocks])
 
     def missing_residues(self, gens):
         """(atom, value) for every field value no generator takes at that atom."""
         missing = []
         for atom in range(self.bool_ring.atom_count):
-            residues = {g.value_at(atom).index for g in gens}
+            residues = {g.index_at(atom) for g in gens}
             if len(residues) != self.field.q:
                 missing.extend((atom, v) for v in self.field.elements()
                                if v.index not in residues)
         return missing
+
+
+def _normal(acc):
+    """Blocks in normal form from a {value index: mask} dict."""
+    if len(acc) == 1:
+        [(i, m)] = acc.items()
+        return ((m, i),)
+    return tuple([(acc[i], i) for i in sorted(acc)])
 
 
 def _coeff_masks(ring, coeffs):
@@ -269,15 +286,17 @@ def _coeff_masks(ring, coeffs):
 
 
 class StepElem:
-    """Normalized step function; construct through StepRing factories."""
+    """Normalized step function; construct through StepRing factories.
+
+    `blocks` holds (atom mask, field index) pairs sorted by index.
+    """
 
     __slots__ = ("ring", "blocks", "_hash")
 
     def __init__(self, ring, blocks):
         self.ring = ring
         self.blocks = blocks
-        self._hash = hash((ring.field.p, ring.field.n, ring.bool_ring.atom_count,
-                           tuple((m, v.index) for m, v in blocks)))
+        self._hash = None       # computed on first use
 
     # -- arithmetic: common refinement of the two partitions ----------------
 
@@ -292,46 +311,49 @@ class StepElem:
                 m = ma & mb
                 if m:
                     v = op(va, vb)
-                    prev = acc.get(v.index)
-                    acc[v.index] = (m if prev is None else prev[0] | m, v)
-        return StepElem(self.ring, tuple(acc[i] for i in sorted(acc)))
+                    acc[v] = acc.get(v, 0) | m
+        return StepElem(self.ring, _normal(acc))
 
     def __add__(self, other):
-        return self._combine(other, lambda a, b: a + b)
+        return self._combine(other, self.ring.field.add_i)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._combine(other, lambda a, b: a - b)
+        return self._combine(other, self.ring.field.sub_i)
 
     def __rsub__(self, other):
         return self.ring.coerce(other) - self
 
     def __mul__(self, other):
-        return self._combine(other, lambda a, b: a * b)
+        return self._combine(other, self.ring.field.mul_i)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self._valuewise(lambda v: -v)
+        return self._valuewise(self.ring.field.neg_i)
 
     def _valuewise(self, fn):
         acc = {}
         for m, v in self.blocks:
             w = fn(v)
-            prev = acc.get(w.index)
-            acc[w.index] = (m if prev is None else prev[0] | m, w)
-        return StepElem(self.ring, tuple(acc[i] for i in sorted(acc)))
+            acc[w] = acc.get(w, 0) | m
+        return StepElem(self.ring, _normal(acc))
 
     def scale(self, c: FieldElem) -> "StepElem":
-        return self._valuewise(lambda v: v * c)
+        k = self.ring._value_index(c)
+        if k is None:
+            raise ValueError(f"{c!r} is not a scalar of {self.ring.field}")
+        mul = self.ring.field.mul_i
+        return self._valuewise(lambda v: mul(v, k))
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             raise ValueError("only nonnegative integer powers of step elements")
         if e == 0:
             return self.ring.one
-        return self._valuewise(lambda v: v ** e)
+        pow_i = self.ring.field.pow_i
+        return self._valuewise(lambda v: pow_i(v, e))
 
     # -- regular-ring structure ---------------------------------------------
 
@@ -348,14 +370,15 @@ class StepElem:
 
     def quasi_inverse(self) -> "StepElem":
         """x* with x x* x = x and x* x x* = x*: blockwise inverse on support."""
-        return self._valuewise(lambda v: v.inverse() if v else v)
+        inv_i = self.ring.field.inv_i
+        return self._valuewise(lambda v: inv_i(v) if v else 0)
 
     def unit_part(self) -> "StepElem":
         """Unit u with x = u * support(x): x on the support, 1 elsewhere."""
-        return self._valuewise(lambda v: v if v else self.ring.field.one)
+        return self._valuewise(lambda v: v or 1)
 
     def is_idempotent(self) -> bool:
-        return all(v.index <= 1 for _, v in self.blocks)
+        return all(v <= 1 for _, v in self.blocks)
 
     def as_bool_elem(self):
         if not self.is_idempotent():
@@ -364,8 +387,8 @@ class StepElem:
 
     # -- evaluation at primes -------------------------------------------------
 
-    def value_at(self, atom: int) -> FieldElem:
-        """Project to the quotient field at the prime ideal of the given atom."""
+    def index_at(self, atom: int) -> int:
+        """Field index of the value at the prime ideal of the given atom."""
         if not 0 <= atom < self.ring.bool_ring.atom_count:
             raise ValueError(f"atom {atom} out of range for {self.ring}")
         bit = 1 << atom
@@ -374,8 +397,13 @@ class StepElem:
                 return v
         raise VerificationError("blocks do not cover the atom universe")
 
+    def value_at(self, atom: int) -> FieldElem:
+        """Project to the quotient field at the prime ideal of the given atom."""
+        return self.ring.field.from_index(self.index_at(atom))
+
     def values(self):
-        return tuple(v for _, v in self.blocks)
+        field = self.ring.field
+        return tuple(field.from_index(v) for _, v in self.blocks)
 
     # -- plumbing -------------------------------------------------------------
 
@@ -384,23 +412,24 @@ class StepElem:
 
     def __eq__(self, other):
         if isinstance(other, StepElem):
-            return (self._hash == other._hash and self.ring is other.ring
-                    and len(self.blocks) == len(other.blocks)
-                    and all(ma == mb and va == vb for (ma, va), (mb, vb)
-                            in zip(self.blocks, other.blocks)))
+            return self.ring is other.ring and self.blocks == other.blocks
         return NotImplemented
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            field = self.ring.field
+            h = self._hash = hash((field.p, field.n, self.ring.bool_ring.atom_count, self.blocks))
+        return h
 
     def sort_key(self):
-        return tuple((v.index, m) for m, v in self.blocks)
+        return tuple((v, m) for m, v in self.blocks)
 
     def __str__(self):
         ring = self.ring
         parts = []
         for mask, v in self.blocks:
-            parts.append(f"{ring.bool_ring.from_mask(mask)}->{v}")
+            parts.append(f"{ring.bool_ring.from_mask(mask)}->{ring.field.from_index(v)}")
         return "{" + "; ".join(parts) + "}"
 
     __repr__ = __str__

@@ -9,38 +9,91 @@ packed-bitmask path keeps the p = 2 search usable at degrees 32 and 64.
 
 from __future__ import annotations
 
+import math
+
+from .errors import CapExceeded
+
 
 def is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin on the first 13 prime bases.
+
+    Passing every base proves m prime below 3317044064679887385961981
+    (Sorenson and Webster, 2015).  At or above that bound, an m with none of
+    the bases as a factor raises CapExceeded: its primality is not decided.
+    """
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if m < 2:
         return False
-    if m < 4:
+    for b in bases:
+        if m % b == 0:
+            return m == b
+    if m < 43 * 43:
         return True
-    if m % 2 == 0:
-        return False
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
+    if m >= 3317044064679887385961981:
+        raise CapExceeded(f"primality of a {m.bit_length()}-bit integer is not decided "
+                          f"at or above 3317044064679887385961981")
+    d = m - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for b in bases:
+        x = pow(b, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
+def _iroot(q: int, k: int) -> int:
+    """The integer k-th root floor(q^(1/k)) of q >= 1: Newton's method from
+    a float estimate good to about 48 bits."""
+    e = math.log2(q) / k
+    shift = max(0, int(e) - 48)
+    r = (int(2 ** (e - shift)) + 1) << shift
+    while True:
+        t = ((k - 1) * r + q // r ** (k - 1)) // k
+        if abs(t - r) <= 1:
+            break
+        r = t
+    while r ** k > q:
+        r -= 1
+    while (r + 1) ** k <= q:
+        r += 1
+    return r
+
+
 def prime_power(q: int):
-    """Return (p, n) with q = p^n for prime p, or None."""
+    """Return (p, n) with q = p^n for prime p, or None.
+
+    The least divisor below 1024, if any, is the only candidate p.  Else p >
+    1023, so n <= log_1024 q: take exact k-th roots for prime k in that
+    range while any exists.  The last root r is then no perfect power, and q
+    is a prime power iff r is prime.
+    """
     if q < 2:
         return None
-    p = q
-    for d in range(2, q + 1):
-        if d * d > q:
-            break
+    for d in range(2, 1024):
         if q % d == 0:
-            p = d
-            break
-    n = 0
-    while q % p == 0:
-        q //= p
-        n += 1
-    return (p, n) if q == 1 else None
+            n = 0
+            while q % d == 0:
+                q //= d
+                n += 1
+            return (d, n) if q == 1 else None
+    n = 1
+    k = 2
+    while 1 << (10 * k) <= q:
+        r = _iroot(q, k)
+        if r ** k == q:
+            q, n = r, n * k
+        else:
+            k += 1
+            while not is_prime(k):
+                k += 1
+    return (q, n) if is_prime(q) else None
 
 
 def prime_divisors(n: int):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -236,6 +237,23 @@ def test_witness_output_is_byte_identical(capsys, perturbed_file, argv, digest):
     assert code == 1 and err == ""
     assert "witness x = ({[1]->0; [0]->1} | {[all]->0})\n" in out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sixteen_digit_prime_field_is_fast_and_byte_identical(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ring", "new", "GF(1000000000000037)^[B(atoms=1)]")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "d6412045a01740d4fa282339b551272fd3832c6a352d1b052f77ca944285ba80"
+
+
+@pytest.mark.parametrize("spec", ["GF(100000000000000000000000000319)^[B(atoms=1)]",
+                                  "GF(100000000000000000000000000319^2)^[B(atoms=1)]"])
+def test_undecided_primality_is_a_cap(capsys, spec):
+    code, out, err = run(capsys, "ring", "new", spec)
+    assert code == 3 and out == ""
+    assert "not decided" in err and "Traceback" not in err
 
 
 def test_installed_entry_point():

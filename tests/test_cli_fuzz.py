@@ -4,7 +4,9 @@ Valid ring texts, element texts and map workspace files are mutated by
 truncation, duplicated or swapped lines and spliced random bytes, and every
 mutant runs in-process through `cli.main`.  The contract on any input: the
 exit code is 0, 1, 2 or 3, stderr carries no traceback, and a second run
-prints the same stdout.
+prints the same stdout.  Ring texts whose field order, prime or degree is a
+long run of digits check that primality stays bounded: such a field is
+built, rejected (exit 2) or refused at the primality bound (exit 3).
 """
 
 import random
@@ -17,6 +19,7 @@ from finreg.polymaps import MapTable, random_polymap
 
 SEED = 20261018
 CASES = 200
+LONG_DIGIT_CASES = 80
 # small caps keep every mutant fast: a grown ring exits 3 instead of enumerating
 CAPS = ["--atom-cap", "8", "--table-cap", "256", "--subring-cap", "256"]
 
@@ -77,6 +80,15 @@ def mutate(text: str, rng: random.Random) -> str:
     return text[:pos] + junk + text[pos + rng.randint(0, 3):]
 
 
+def long_digit_field(rng: random.Random) -> str:
+    """A GF(...) whose order, prime or degree is a run of 12 to 40 digits."""
+    digits = str(rng.randint(1, 9)) + "".join(rng.choice("0123456789")
+                                              for _ in range(rng.randint(11, 39)))
+    return rng.choice((f"GF({digits})", f"GF({digits}^{rng.randint(1, 3)})",
+                       f"GF({rng.choice((2, 3, 5, 7))}^{digits})",
+                       f"GF({rng.choice(('1000000000000037', '100000000000000000000000000319'))})"))
+
+
 def make_case(k: int, tmp_path):
     """The argv of fuzz case k, with any workspace written under tmp_path."""
     rng = random.Random(f"{SEED}:{k}")
@@ -120,3 +132,20 @@ def test_malformed_input_keeps_the_exit_code_contract(capsys, tmp_path):
         assert run(capsys, argv)[:2] == (code, out), (k, argv)
         codes.add(code)
     assert {0, 2} <= codes
+
+
+def test_long_digit_field_orders_keep_the_exit_code_contract(capsys):
+    codes = set()
+    for k in range(LONG_DIGIT_CASES):
+        rng = random.Random(f"{SEED}:digits:{k}")
+        ring = f"{long_digit_field(rng)}^[B(atoms={rng.randint(1, 3)})]"
+        if rng.random() < 0.5:
+            ring = rng.choice(RING_TEXTS) + " x " + ring
+        argv = CAPS + ["ring", *rng.choice((["new", ring], ["check", ring, "quotients"],
+                                             ["check", ring, "char"]))]
+        code, out, err = run(capsys, argv)
+        assert code in (0, 2, 3), (k, argv, err)
+        assert "Traceback" not in err, (k, argv, err)
+        assert run(capsys, argv)[:2] == (code, out), (k, argv)
+        codes.add(code)
+    assert codes == {0, 2, 3}

@@ -71,6 +71,90 @@ def test_construction_errors():
     assert finite_field(2, 17, degree_cap=17).n == 17  # cap is configurable
 
 
+def is_prime_trial_division(m):
+    """The reference for zmodpoly.is_prime: trial division up to sqrt(m)."""
+    if m < 2:
+        return False
+    if m < 4:
+        return True
+    if m % 2 == 0:
+        return False
+    d = 3
+    while d * d <= m:
+        if m % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def prime_power_trial_division(q):
+    """The reference for zmodpoly.prime_power: the least divisor is p."""
+    if q < 2:
+        return None
+    p = q
+    for d in range(2, q + 1):
+        if d * d > q:
+            break
+        if q % d == 0:
+            p = d
+            break
+    n = 0
+    while q % p == 0:
+        q //= p
+        n += 1
+    return (p, n) if q == 1 else None
+
+
+def test_primality_and_prime_powers_match_trial_division_below_200000():
+    for m in range(200_000):
+        assert zp.is_prime(m) == is_prime_trial_division(m), m
+        assert zp.prime_power(m) == prime_power_trial_division(m), m
+
+
+# Carmichael numbers, then strong pseudoprimes to the first 1, 2, 3, 4, 5, 6, 7
+# and 9 prime bases, and the one to the first 12 (all composite)
+PSEUDOPRIMES = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+                5394826801, 2047, 1373653, 25326001, 3215031751, 2152302898747,
+                3474749660383, 341550071728321, 3825123056546413051,
+                318665857834031151167461]
+
+
+def test_miller_rabin_rejects_pseudoprimes_and_decides_up_to_its_bound():
+    for m in PSEUDOPRIMES:
+        assert not zp.is_prime(m), m
+        assert zp.prime_power(m) is None, m
+    for p in (65537, 2 ** 31 - 1, 1000000000000037, 2 ** 61 - 1, 10 ** 18 + 3):
+        assert zp.is_prime(p) and zp.prime_power(p) == (p, 1)
+        assert zp.prime_power(p ** 3) == (p, 3)
+    bound = 3317044064679887385961981
+    assert not zp.is_prime(bound + 1) and not zp.is_prime(41 * bound)
+    for m in (bound, 2 ** 89 - 1, 10 ** 29 + 319):
+        with pytest.raises(CapExceeded, match="not decided"):
+            zp.is_prime(m)
+    with pytest.raises(CapExceeded):
+        zp.prime_power(10 ** 29 + 319)
+
+
+def test_prime_power_of_huge_integers():
+    assert zp.prime_power(3 ** 100) == (3, 100)
+    assert zp.prime_power(2 ** 1000) == (2, 1000)
+    assert zp.prime_power(7 ** 4000) == (7, 4000)
+    assert zp.prime_power(1031 ** 7) == (1031, 7)          # no divisor below 1024
+    assert zp.prime_power(1031 ** 6 * 1033) is None
+    assert zp.prime_power((2 ** 61 - 1) ** 5) == (2 ** 61 - 1, 5)
+    for q in (2 ** 64 - 1, 3 ** 40 - 1, 10 ** 30, (2 ** 31 - 1) ** 2 * 1033):
+        assert zp.prime_power(q) is None
+    # no divisor below 1024, and the least root is above the bound of is_prime
+    with pytest.raises(CapExceeded):
+        zp.prime_power((2 ** 61 - 1) ** 2 * (2 ** 31 - 1) ** 4)
+
+
+def test_fields_are_memoized_before_the_primality_test(monkeypatch):
+    K = finite_field(3, 2)
+    monkeypatch.setattr(zp, "is_prime", lambda m: pytest.fail("primality tested again"))
+    assert finite_field(3, 2) is K and GF(9) is not None
+
+
 def test_zero_inverse_and_mixed_fields():
     K = GF(4)
     with pytest.raises(ZeroDivisionError):

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from finreg.errors import CapExceeded
+from finreg import polymaps
+from finreg.errors import CapExceeded, VerificationError
 from finreg.fields import GF
 from finreg.products import ProductRing
-from finreg.polymaps import (CONV_CHECK_BUDGET, MapTable, PolyMap, as_table,
+from finreg.polymaps import (CONV_CHECK_BUDGET, MapTable, PolyMap, _column_values, as_table,
                              boolean_subring_size, commutes_with_conv,
                              contractive_maps, contractive_to_polynomial,
                              is_contractive, is_polynomial, iteration_orbit,
@@ -95,6 +96,42 @@ def _boolean_closure(profiles, ring):
                         new.append(c)
         frontier = new
     return known
+
+
+def table_orbit_by_composition(table, cap):
+    """The reference for the table orbit: compose f^k until a repeat."""
+    seen = {}
+    cur = table
+    k = 1
+    while True:
+        key = cur.key()
+        first = seen.get(key)
+        if first is not None:
+            tail = first - 1
+            period = k - first
+            return tail + period, tail, period
+        seen[key] = k
+        if k > cap:
+            raise CapExceeded(f"table orbit exceeded the cap {cap}")
+        cur = cur.then(table)
+        k += 1
+
+
+def convex_key(ring, gens, columns):
+    """The reference matrix-orbit key: the ring element of every column."""
+    return tuple(ring.convex([ring.from_profile(p) for p in col], gens) for col in columns)
+
+
+def random_orbit_certificates():
+    """(ring, gens, certificate) for seeded random polynomials on five rings."""
+    rng = random.Random(17)
+    rings = [P((2, 3)), P((3, 2)), P((4, 2)), P((8, 2)), P((2, 2), (4, 1))]
+    for ring in rings:
+        gens = [ring.scalar_at(i, k) for i, f in enumerate(ring.factors)
+                for k in f.field.elements()]
+        for _ in range(10):
+            f = random_polymap(ring, rng)
+            yield ring, gens, iteration_orbit(f, gens=gens)
 
 
 def violates_definition(f, x, y):
@@ -230,29 +267,57 @@ def test_orbit_table_only_and_refusal():
 
 
 def test_orbit_methods_agree_on_random_polynomials():
-    rng = random.Random(17)
-    rings = [P((2, 3)), P((3, 2)), P((4, 2)), P((8, 2)), P((2, 2), (4, 1))]
-    for ring in rings:
-        gens = [ring.scalar_at(i, k) for i, f in enumerate(ring.factors)
-                for k in f.field.elements()]
-        for _ in range(10):
-            f = random_polymap(ring, rng)
-            cert = iteration_orbit(f, gens=gens)
-            assert cert.methods_agree
-            entries = [prof for col in cert.matrices[0] for prof in col]
-            assert cert.boolean_subring_size == len(_boolean_closure(entries, ring))
-            # every certificate matrix keeps orthogonal-partition columns
-            for matrix in cert.matrices:
-                for col in matrix:
-                    union = [0] * len(ring.factors)
-                    total = 0
-                    for prof in col:
-                        for i, m in enumerate(prof):
-                            union[i] |= m
-                            total += m.bit_count()
-                    assert total == ring.total_atoms
-                    assert all(u == f_.bool_ring.full_mask
-                               for u, f_ in zip(union, ring.factors))
+    for ring, gens, cert in random_orbit_certificates():
+        assert cert.methods_agree
+        entries = [prof for col in cert.matrices[0] for prof in col]
+        assert cert.boolean_subring_size == len(_boolean_closure(entries, ring))
+        # every certificate matrix keeps orthogonal-partition columns
+        for matrix in cert.matrices:
+            for col in matrix:
+                union = [0] * len(ring.factors)
+                total = 0
+                for prof in col:
+                    for i, m in enumerate(prof):
+                        union[i] |= m
+                        total += m.bit_count()
+                assert total == ring.total_atoms
+                assert all(u == f_.bool_ring.full_mask
+                           for u, f_ in zip(union, ring.factors))
+
+
+def test_index_key_matches_the_convex_combination_key():
+    for ring, gens, cert in random_orbit_certificates():
+        widths = tuple(f.atom_count for f in ring.factors)
+        gen_values = [tuple(tuple(part.index_at(j) for j in range(w))
+                            for part, w in zip(g.parts, widths)) for g in gens]
+        old_keys = [convex_key(ring, gens, m) for m in cert.matrices]
+        new_keys = [tuple(_column_values(col, gen_values, widths) for col in m)
+                    for m in cert.matrices]
+        for old, new in zip(old_keys, new_keys):
+            assert [[[x.parts[i].index_at(j) for j in range(w)] for i, w in enumerate(widths)]
+                    for x in old] == [[list(row) for row in col] for col in new]
+        # the matrices run up to the first repeat, under either key
+        k = len(cert.matrices) - 1
+        assert old_keys.index(old_keys[k]) == new_keys.index(new_keys[k]) == cert.tail
+        assert len(set(old_keys[:k])) == len(set(new_keys[:k])) == k == cert.tail + cert.period
+
+
+def test_matrix_orbit_rejects_a_column_that_is_no_partition(monkeypatch):
+    ring = P((2, 2), (3, 1))
+    gens = [ring.scalar_at(i, k) for i, f in enumerate(ring.factors) for k in f.field.elements()]
+    f = PolyMap(ring, [ring.one, ring.one])
+    iteration_orbit(f, gens=gens)
+    gen_values = [tuple(tuple(part.index_at(j) for j in range(f_.atom_count))
+                        for part, f_ in zip(g.parts, ring.factors)) for g in gens]
+    full = (0b11, 0b1)
+    overlap = (full, (0b01, 0)) + ((0, 0),) * (len(gens) - 2)
+    gap = ((0b01, 0b1),) + ((0, 0),) * (len(gens) - 1)
+    for col in (overlap, gap):
+        with pytest.raises(VerificationError):
+            _column_values(col, gen_values, (2, 1))
+        monkeypatch.setattr(polymaps, "_matrix_column_step", lambda _col, _m1, col=col: col)
+        with pytest.raises(VerificationError, match="matrix column"):
+            iteration_orbit(f, gens=gens)
 
 
 def test_support_exponent_examples():
@@ -438,3 +503,63 @@ def test_boolean_subring_size_matches_the_closure_on_seeded_families():
         profiles = [tuple(rng.randint(0, full) for full in fulls)
                     for _ in range(rng.randint(1, 4))]
         assert boolean_subring_size(profiles, ring) == len(_boolean_closure(profiles, ring))
+
+
+def random_self_maps(ring, rng, count):
+    """Seeded self-maps: arbitrary tables, permutations, and maps into a few
+    values (long tails, short cycles)."""
+    elems = ring.cached_elements()
+    for k in range(count):
+        kind = k % 3
+        if kind == 0:
+            images = [rng.choice(elems) for _ in elems]
+        elif kind == 1:
+            images = list(elems)
+            rng.shuffle(images)
+        else:
+            few = rng.sample(elems, rng.randint(1, min(3, len(elems))))
+            images = [rng.choice(few + [x]) for x in elems]
+        yield MapTable(ring, dict(zip(elems, images)))
+
+
+@pytest.mark.parametrize("shape", [((2, 1),), ((2, 3),), ((3, 2),), ((4, 2),),
+                                   ((2, 2), (3, 1)), ((3, 3),)], ids=str)
+def test_table_orbit_matches_the_composition_loop(shape):
+    ring = P(*shape)
+    rng = random.Random(f"table-orbit:{shape}")
+    for table in random_self_maps(ring, rng, 40):
+        want = table_orbit_by_composition(table, polymaps.ORBIT_CAP)
+        assert polymaps._table_orbit(table, polymaps.ORBIT_CAP) == want
+        size = want[0]
+        # the cap raises exactly when tail + period exceeds it, with one message
+        for cap in {0, 1, size - 1, size}:
+            try:
+                expected = table_orbit_by_composition(table, cap)
+            except CapExceeded as exc:
+                with pytest.raises(CapExceeded) as got:
+                    polymaps._table_orbit(table, cap)
+                assert str(got.value) == str(exc)
+            else:
+                assert polymaps._table_orbit(table, cap) == expected
+
+
+def test_table_orbit_examples():
+    ring = P((2, 3))
+    elems = ring.cached_elements()
+    zero = MapTable(ring, {x: ring.zero for x in elems})
+    assert polymaps._table_orbit(zero, 10) == (1, 0, 1)
+    ident = MapTable(ring, {x: x for x in elems})
+    assert polymaps._table_orbit(ident, 10) == (1, 0, 1)
+    # a path of length 7 into a fixed point: f^7 is the first constant power
+    chain = MapTable(ring, {x: elems[max(i - 1, 0)] for i, x in enumerate(elems)})
+    assert polymaps._table_orbit(chain, 10) == (7, 6, 1)
+    # cycles of lengths 3 and 5: period 15, no tail
+    perm = {0: 1, 1: 2, 2: 0, 3: 4, 4: 5, 5: 6, 6: 7, 7: 3}
+    perm = MapTable(ring, {elems[i]: elems[j] for i, j in perm.items()})
+    assert polymaps._table_orbit(perm, 15) == (15, 0, 15)
+    with pytest.raises(CapExceeded, match="table orbit exceeded the cap 14"):
+        polymaps._table_orbit(perm, 14)
+    # 0 -> 1 -> 2 -> 3 -> 2 (distance 2 to a 2-cycle), a 3-cycle and a fixed point
+    mixed = {0: 1, 1: 2, 2: 3, 3: 2, 4: 5, 5: 6, 6: 4, 7: 7}
+    mixed = MapTable(ring, {elems[i]: elems[j] for i, j in mixed.items()})
+    assert polymaps._table_orbit(mixed, 100) == (7, 1, 6)

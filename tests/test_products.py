@@ -331,7 +331,7 @@ def reference_convex(ring, coeffs, values):
     profiles = [c.support_profile() for c in coeffs]
     parts = []
     for i, f in enumerate(ring.factors):
-        pairs = [(bmask & prof[i], bval) for prof, val in zip(profiles, values)
+        pairs = [(bmask & prof[i], f.field.from_index(bval)) for prof, val in zip(profiles, values)
                  for bmask, bval in val.parts[i].blocks if bmask & prof[i]]
         parts.append(f.from_blocks(pairs))
     return ring.element(parts)

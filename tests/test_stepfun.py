@@ -4,7 +4,7 @@ import random
 import pytest
 
 from finreg.boolean import BooleanRing
-from finreg.fields import GF
+from finreg.fields import GF, finite_field
 from finreg.stepfun import StepRing, check_residue_cover, extract_combination
 
 
@@ -222,3 +222,83 @@ def test_step_rings_are_interned():
     assert "__eq__" not in vars(StepRing) and "__hash__" not in vars(StepRing)
     # element hashes are value-based, so they agree across processes
     assert hash(ring(3, 2).from_values([1, 2])) == hash(ring(3, 2).from_values([1, 2]))
+
+
+# -- index arithmetic against field arithmetic at every atom ----------------
+
+
+def _pointwise_ops(R):
+    """(name, step op, per-atom FieldElem op, arity) for every step-element
+    operation, with scalars, exponents and scale factors fixed per ring."""
+    K = R.field
+    c = K.from_index(K.q - 1)
+    ops = [("+", lambda x, y: x + y, lambda a, b: a + b, 2),
+           ("-", lambda x, y: x - y, lambda a, b: a - b, 2),
+           ("*", lambda x, y: x * y, lambda a, b: a * b, 2),
+           ("neg", lambda x: -x, lambda a: -a, 1),
+           ("scale", lambda x: x.scale(c), lambda a: a * c, 1),
+           ("quasi_inverse", lambda x: x.quasi_inverse(), lambda a: a.inverse() if a else a, 1),
+           ("unit_part", lambda x: x.unit_part(), lambda a: a if a else K.one, 1)]
+    for e in (0, 1, 2, 3, K.q - 1, K.q, 2 * K.q + 1):
+        ops.append((f"**{e}", lambda x, e=e: x ** e, lambda a, e=e: a ** e, 1))
+    return ops
+
+
+def _check_pointwise(R, xs, pairs):
+    atoms = range(R.bool_ring.atom_count)
+    for name, step_op, field_op, arity in _pointwise_ops(R):
+        for args in (pairs if arity == 2 else [(x,) for x in xs]):
+            out = step_op(*args)
+            assert dense(out) == tuple(field_op(*(a.value_at(j) for a in args)) for j in atoms), \
+                (R, name, args)
+            assert all(b for b, _ in out.blocks) and \
+                [v for _, v in out.blocks] == sorted({v for _, v in out.blocks}), (R, name, args)
+
+
+@pytest.mark.parametrize("q,atoms", [(2, 2), (3, 2), (4, 2), (9, 1)])
+def test_index_arithmetic_matches_field_arithmetic_exhaustively(q, atoms):
+    R = ring(q, atoms)
+    xs = list(R.elements())
+    _check_pointwise(R, xs, list(itertools.product(xs, repeat=2)))
+
+
+@pytest.mark.parametrize("field,atoms", [((2, 8), 3), ((3, 5), 2),            # tables
+                                         ((65537, 1), 2), ((2, 17), 2), ((3, 11), 2)])
+def test_index_arithmetic_matches_field_arithmetic_seeded(field, atoms):
+    R = StepRing(finite_field(*field, degree_cap=17), BooleanRing(atoms))
+    K = R.field
+    rng = random.Random(f"index-arithmetic:{K.q}:{atoms}")
+    # random elements, plus ones that repeat values, hit 0 and 1, and -1
+    xs = [R.random_element(rng) for _ in range(12)]
+    xs += [R.from_values([rng.choice((K.zero, K.one, -K.one, v)) for _ in range(atoms)])
+           for v in (K.random_element(rng) for _ in range(8))]
+    pairs = [(x, y) for x in xs for y in rng.sample(xs, 6)]
+    _check_pointwise(R, xs, pairs)
+
+
+@pytest.mark.parametrize("q,atoms", [(2, 3), (3, 2), (4, 3), (9, 2)])
+def test_every_constructor_gives_one_normal_form(q, atoms):
+    R = ring(q, atoms)
+    K = R.field
+    rng = random.Random(q * 10 + atoms)
+    full = R.bool_ring.full_mask
+    for x in R.elements():
+        vals = dense(x)
+        assert R.from_values(vals) == x and hash(R.from_values(vals)) == hash(x)
+        assert R.from_values([v.index if K.n == 1 else v for v in vals]) == x
+        # one block per atom, in shuffled order
+        pieces = [(1 << j, v) for j, v in enumerate(vals)]
+        rng.shuffle(pieces)
+        y = R.from_blocks(pieces)
+        assert y == x and hash(y) == hash(x) and y.blocks == x.blocks
+        assert y.sort_key() == x.sort_key() and str(y) == str(x)
+        assert x.values() == tuple(sorted(set(vals), key=lambda v: v.index))
+    for k in K.elements():
+        s = R.scalar(k)
+        assert s == R.from_values([k] * atoms) == R.from_blocks([(full, k)])
+        assert hash(s) == hash(R.from_values([k] * atoms))
+    for mask in range(full + 1):
+        e = R.indicator(mask)
+        same = R.from_values([K.one if mask >> j & 1 else K.zero for j in range(atoms)])
+        assert e == same and hash(e) == hash(same) and e.blocks == same.blocks
+    assert R.scalar(-1) == R.scalar(K.from_int(-1)) == -R.one
