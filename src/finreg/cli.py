@@ -10,6 +10,7 @@ it).  Output is deterministic for identical inputs; all sampling flows from
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 
@@ -20,7 +21,8 @@ from .boolean import ATOM_CAP, BooleanRing
 from .polymaps import (ORBIT_CAP, commutes_with_conv, contractive_to_polynomial,
                        is_contractive, is_polynomial, iteration_orbit)
 from .products import (SUBRING_CAP, ProductRing, SubringPresentation, char_decompose,
-                       check_residue_cover, full_presentation, structure_decompose)
+                       check_residue_cover, full_presentation, structure_decompose,
+                       subring_cap_exceeded)
 from .selftest import run_selftest
 from .stepfun import PRODUCT_CHECK_CAP, size_text
 from . import textio as tio
@@ -61,6 +63,10 @@ def _load_map(args, path: str):
 def _presentation(args, ring: ProductRing, gens_text: str | None) -> SubringPresentation:
     gens = _parse_gens(ring, gens_text)
     if gens is None:
+        # every factor's scalars generate the product of the fields; refuse it
+        # before building one generator per field element
+        if math.prod(f.field.q for f in ring.factors) > args.subring_cap:
+            raise subring_cap_exceeded(args.subring_cap)
         return full_presentation(ring)
     return SubringPresentation(ring, tuple(gens))
 

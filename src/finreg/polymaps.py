@@ -22,6 +22,16 @@ on a generating family over the finite Boolean subring its entries generate
 (whose size is counted prime by prime); each iterate's key is, at every
 prime, the value index of the one generator its column's masks select
 there, so no ring element is built per step.
+
+Every check here runs on per-prime digits, not on ring elements: the ring's
+radix (`ProductRing.radix`) names an element by its position, whose digits
+are its value indices at the primes.  The convex-combination check compares
+positions; the polynomial check runs Horner on coefficient indices once per
+(prime, value); the first orbit matrix takes, at each prime, the first
+generator with the image's value; the contractivity scan reads argument
+values off the position.  The ring-element loops these replace (pairs of
+`ring.convex`, `PolyMap.evaluate` on every element, `extract_combination`
+rows) are kept in the tests as references.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from dataclasses import dataclass
 
 from .errors import CapExceeded, VerificationError
 from .fields import lagrange_interpolate
-from .products import ProductElem, ProductRing, check_residue_cover, extract_combination
+from .products import ProductElem, ProductRing, check_residue_cover
 
 TABLE_RING_CAP = 4096
 CONV_CHECK_BUDGET = 500_000
@@ -168,10 +178,11 @@ def is_contractive(f: MapTable):
     elems = ring.cached_elements(len(f.mapping))
     images = [f.mapping[x] for x in elems]
     first = len(elems)
-    for label in ring.prime_labels():
+    for label, field, weight in ring.radix():
+        q = field.q
         suffix = {}
         for i in range(len(elems) - 1, -1, -1):
-            v = elems[i].index_at(label)
+            v = i // weight % q             # the digit of element i at this prime
             w = images[i].index_at(label)
             seen = suffix.get(v)
             if seen is None:
@@ -217,23 +228,34 @@ def commutes_with_conv(f: MapTable):
     (1 - a_1) z with z = (a_1 + a_2) x_2 + a_3 x_3 + ... + a_n x_n an
     (n-1)-block one, so commuting with every two-block family gives the rest
     by induction.  Returns (ok, witness) where a witness is (coeffs, values).
+
+    Elements are compared by position.  For the family (a, 1 - a), the
+    position of a x + (1 - a) y is pa[x] + pb[y], the digits of x at the
+    primes of a and those of y elsewhere (`ProductRing.radix`); likewise
+    a f(x) + (1 - a) f(y) is at ia[x] + ib[y], read off the images.
     """
     ring = f.ring
     elems = ring.cached_elements(len(f.mapping))
     profiles = list(ring.idempotent_profiles())
-    fulls = tuple(fac.bool_ring.full_mask for fac in ring.factors)
     if len(profiles) * len(elems) ** 2 > CONV_CHECK_BUDGET:
         raise CapExceeded("two-block conv check exceeds the budget")
+    radix = ring.radix()
+    positions = range(len(elems))
+    img = [ring.element_index(f.mapping[x]) for x in elems]
     for prof in profiles:
-        comp = tuple(full ^ m for full, m in zip(fulls, prof))
-        a = ring.from_profile(prof)
-        b = ring.from_profile(comp)
-        for x in elems:
-            ax_f = a * f.mapping[x]
-            for y in elems:
-                lhs = f.mapping[ring.convex((a, b), (x, y))]
-                if lhs != ax_f + b * f.mapping[y]:
-                    return False, ((a, b), (x, y))
+        in_a = [(field.q, weight) for (i, j), field, weight in radix if prof[i] >> j & 1]
+        pa = [sum(k // w % q * w for q, w in in_a) for k in positions]
+        ia = [sum(t // w % q * w for q, w in in_a) for t in img]
+        pb = [k - a for k, a in zip(positions, pa)]
+        ib = [t - a for t, a in zip(img, ia)]
+        for x in positions:
+            px, fx = pa[x], ia[x]
+            for y in positions:
+                if img[px + pb[y]] != fx + ib[y]:
+                    fulls = (fac.bool_ring.full_mask for fac in ring.factors)
+                    comp = tuple(full ^ m for full, m in zip(fulls, prof))
+                    coeffs = (ring.from_profile(prof), ring.from_profile(comp))
+                    return False, (coeffs, (elems[x], elems[y]))
     return True, None
 
 
@@ -278,16 +300,27 @@ def iteration_orbit(f, gens=None, cap: int = ORBIT_CAP) -> IterationCertificate:
     if not cover.ok:
         raise ValueError(f"matrix method refused: generators miss residues {cover.missing[:3]}")
     gens = tuple(ring.coerce(g) for g in gens)
-    m1 = []
-    for g in gens:
-        combo = extract_combination(table(g), gens)
-        m1.append(tuple(c.support_profile() for c in combo.coeffs))
-    # m1[j][i] = coefficient of gens[i] in f(gens[j]); columns indexed by j
-    columns = m1
-    matrices = [tuple(columns)]
     widths = tuple(fac.atom_count for fac in ring.factors)
     gen_values = [tuple(tuple(part.index_at(j) for j in range(w)) for part, w in zip(g.parts, widths))
                   for g in gens]
+    # m1[j][r] = coefficient of gens[r] in f(gens[j]), the extraction's: at
+    # each prime it is set exactly when gens[r] is the first generator that
+    # takes the value of f(gens[j]) there (one does: the family covers);
+    # columns indexed by j
+    first_gen = {}      # (factor, atom, value index) -> r
+    for r, values in enumerate(gen_values):
+        for i, row in enumerate(values):
+            for j, v in enumerate(row):
+                first_gen.setdefault((i, j, v), r)
+    m1 = []
+    for g in gens:
+        masks = [[0] * len(widths) for _ in gens]
+        for i, part in enumerate(table(g).parts):
+            for j in range(widths[i]):
+                masks[first_gen[i, j, part.index_at(j)]][i] |= 1 << j
+        m1.append(tuple(map(tuple, masks)))
+    columns = m1
+    matrices = [tuple(columns)]
     seen = {}
     k = 1
     while True:
@@ -485,10 +518,22 @@ def contractive_to_polynomial(f: MapTable) -> PolyMap:
     coeffs = [ring.element([factor_coeffs[i][d] for i in range(len(ring.factors))])
               for d in range(degree)]
     poly = PolyMap(ring, coeffs)
+    # the check: at every prime, Horner on the coefficients' value indices,
+    # once per value met there
+    primes = [(label, field, [c.index_at(label) for c in reversed(poly.coeffs)], {})
+              for label, field, _ in ring.radix()]
     for x, y in f.mapping.items():
-        if poly.evaluate(x) != y:
-            raise VerificationError(
-                f"interpolated polynomial disagrees with the contractive map at {x}")
+        for label, field, cs, values in primes:
+            v = x.index_at(label)
+            fv = values.get(v)
+            if fv is None:
+                fv = 0
+                for c in cs:
+                    fv = field.add_i(field.mul_i(fv, v), c)
+                values[v] = fv
+            if fv != y.index_at(label):
+                raise VerificationError(
+                    f"interpolated polynomial disagrees with the contractive map at {x}")
     return poly
 
 

@@ -4,13 +4,13 @@ A ProductRing is the ambient for everything downstream: a tuple of
 (field, Boolean ring) factors, with elements operated on componentwise.
 Every algorithm that works prime by prime has its one implementation in
 `stepfun` and runs here factor by factor: element enumeration (factor 0
-varies fastest) and indexing, convex combinations, the extraction
-coefficient masks, and the residue coverage behind `check_residue_cover`,
-which is re-exported from `stepfun`.  Product rings are interned on their
-tuple of (interned) step-ring factors, so ring equality is identity.  A
-presentation names a subring inside such an ambient: the convex span (over
-the ambient's full idempotent algebra) of the subring generated by the given
-elements together with 0, 1, -1.
+varies fastest) and indexing through the radix of the primes, convex
+combinations, the extraction coefficient masks, and the residue coverage
+behind `check_residue_cover`, which is re-exported from `stepfun`.  Product
+rings are interned on their tuple of (interned) step-ring factors, so ring
+equality is identity.  A presentation names a subring inside such an
+ambient: the convex span (over the ambient's full idempotent algebra) of the
+subring generated by the given elements together with 0, 1, -1.
 
 The canonical invariant of a presented ring is its signature: for each
 residue-field isomorphism class, the total number of atoms whose quotient is
@@ -166,11 +166,19 @@ class ProductRing:
             self._elem_list = tuple(self.elements(cap))
         return self._elem_list
 
+    def radix(self):
+        """(label, field, weight) for every prime in element order, the
+        factors' own radices shifted past the earlier factors:
+        element_index(x) == sum(x.index_at(label) * weight)."""
+        out = []
+        offset = 1
+        for i, f in enumerate(self.factors):
+            out.extend(((i, j), field, offset * weight) for j, field, weight in f.radix())
+            offset *= f.size
+        return tuple(out)
+
     def element_index(self, x: "ProductElem") -> int:
-        idx = 0
-        for f, part in zip(reversed(self.factors), reversed(x.parts)):
-            idx = idx * f.size + f.element_index(part)
-        return idx
+        return sum(x.index_at(label) * weight for label, _, weight in self.radix())
 
     def idempotent_profiles(self):
         """Masks of all idempotents; 2^total_atoms of them."""
@@ -363,7 +371,7 @@ def generated_subring(pres: SubringPresentation, cap: int = SUBRING_CAP):
                 c = a * s
                 if c not in monoid:
                     if len(monoid) >= cap:
-                        raise _subring_cap_exceeded(cap)
+                        raise subring_cap_exceeded(cap)
                     monoid.add(c)
                     new.append(c)
         frontier = new
@@ -376,7 +384,7 @@ def generated_subring(pres: SubringPresentation, cap: int = SUBRING_CAP):
         while shifts[-1] + m not in known:
             shifts.append(shifts[-1] + m)
         if len(span) * (len(shifts) + 1) > cap:
-            raise _subring_cap_exceeded(cap)
+            raise subring_cap_exceeded(cap)
         cosets = [h + s for s in shifts for h in span]
         span.extend(cosets)
         known.update(cosets)
@@ -384,7 +392,7 @@ def generated_subring(pres: SubringPresentation, cap: int = SUBRING_CAP):
     return tuple(span)
 
 
-def _subring_cap_exceeded(cap):
+def subring_cap_exceeded(cap):
     return CapExceeded(f"generated subring exceeds {cap} elements; not finitely "
                        f"covered or the cap is too small")
 

@@ -25,13 +25,16 @@ them factor by factor.  Here live the element enumeration and indexing, the
 convex combination (`StepRing.convex`), the extraction coefficient masks
 (`extraction_masks`), the per-atom residue coverage
 (`StepRing.missing_residues`), the residue-cover check for step and product
-rings alike (`check_residue_cover`), the ring-size formatter (`size_text`),
-and the caps `ENUM_CAP` and `PRODUCT_CHECK_CAP`.  Step rings are interned, so
-ring equality is identity.
+rings alike (`check_residue_cover`, on per-prime digits), the ring-size
+formatter (`size_text`), and the caps `ENUM_CAP` and `PRODUCT_CHECK_CAP`.
+`StepRing.radix` names every prime with its field and place value, so an
+element's position in `elements()` is the sum of its digits times those.
+Step rings are interned, so ring equality is identity.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -43,6 +46,7 @@ from .fields import FieldElem, FiniteField
 
 ENUM_CAP = 1 << 20
 PRODUCT_CHECK_CAP = 4096
+PRODUCT_SAMPLES = 256
 
 
 def size_text(step_rings) -> str:
@@ -207,12 +211,14 @@ class StepRing:
                 digits.append(i)
             yield self._from_indices(digits)
 
-    def element_index(self, x: "StepElem") -> int:
+    def radix(self):
+        """(label, field, weight) for every prime in element order, the label
+        being the atom: element_index(x) == sum(x.index_at(label) * weight)."""
         q = self.field.q
-        idx = 0
-        for j in range(self.bool_ring.atom_count - 1, -1, -1):
-            idx = idx * q + x.index_at(j)
-        return idx
+        return tuple((j, self.field, q ** j) for j in range(self.bool_ring.atom_count))
+
+    def element_index(self, x: "StepElem") -> int:
+        return sum(x.index_at(label) * weight for label, _, weight in self.radix())
 
     def random_element(self, rng: random.Random) -> "StepElem":
         atoms = self.bool_ring.atom_count
@@ -246,6 +252,9 @@ class StepRing:
         for atom in range(self.bool_ring.atom_count):
             residues = {g.index_at(atom) for g in gens}
             if len(residues) != self.field.q:
+                if self.field.q > ENUM_CAP:
+                    raise CapExceeded(f"cannot list the values of {self.field}: "
+                                      f"{self.field.q} elements, above the cap {ENUM_CAP}")
                 missing.extend((atom, v) for v in self.field.elements()
                                if v.index not in residues)
         return missing
@@ -507,37 +516,84 @@ class CoverReport:
 
 
 def check_residue_cover(ring, gens, *, product_cap: int = PRODUCT_CHECK_CAP,
-                        product_samples: int = 256, rng: random.Random | None = None) -> CoverReport:
+                        rng: random.Random | None = None) -> CoverReport:
     """Decide whether the family hits every value of every residue field.
 
     `ring` is a StepRing or a ProductRing.  The residue coverage at every
     prime (`ring.missing_residues`) is the decision procedure; the vanishing
     of prod (x - g) over the whole ring is cross-checked exhaustively when the
-    ring is small enough, on a seeded sample otherwise.
+    ring is small enough, on PRODUCT_SAMPLES seeded samples otherwise.
+
+    The product vanishes at x exactly when it vanishes at every prime, and
+    there it is prod (v - g_k) over the value v of x and the values g_k of
+    the generators.  That field product is evaluated with the index kernels
+    once per (generator values, v) that a candidate meets, so no ring
+    element is built: exhaustive candidates are the digit rows of the
+    ring's radix in element order, sampled ones are read block by block
+    against the generators' common refinement.  The loop that multiplies
+    prod (x - g) out in the ring is kept in the tests as the reference.
     """
     gens = [ring.coerce(g) for g in gens]
     missing = tuple(ring.missing_residues(gens))
     ok = not missing
     exhaustive = ring.size <= product_cap
-    checked = 0
-    product_ok = True
+    tables = {}         # (field, generator values) -> {v: prod (v - g_k)}, filled on demand
+
+    def prime(field, values):
+        return field, values, tables.setdefault((field, values), {})
+
     if exhaustive:
-        candidates = ring.elements(product_cap)
-    elif product_samples <= 0:
-        candidates = ()  # caller cross-checks the product on its own
+        primes = [prime(field, tuple(g.index_at(label) for g in gens))
+                  for label, field, _ in reversed(ring.radix())]
+        # product() varies its last digit fastest, and the last prime is label 0
+        candidates = (zip(primes, row) for row in
+                      itertools.product(*(range(field.q) for field, _, _ in primes)))
     else:
         rng = rng or random.Random(0)
-        candidates = (ring.random_element(rng) for _ in range(product_samples))
-    for x in candidates:
-        acc = ring.one
-        for g in gens:
-            acc = acc * (x - g)
-            if not acc:
-                break
+        if isinstance(ring, StepRing):
+            factors, split = (ring,), lambda x: (x,)
+        else:
+            factors, split = ring.factors, lambda x: x.parts
+        gen_parts = [split(g) for g in gens]
+        cells = [[(mask, prime(f.field, values)) for mask, values in
+                  _common_refinement(f, [parts[i] for parts in gen_parts])]
+                 for i, f in enumerate(factors)]
+        samples = (split(ring.random_element(rng)) for _ in range(PRODUCT_SAMPLES))
+        candidates = ([(p, v) for part, factor_cells in zip(parts, cells)
+                       for mask, p in factor_cells for bmask, v in part.blocks if bmask & mask]
+                      for parts in samples)
+    checked = 0
+    product_ok = True
+    for pairs in candidates:
         checked += 1
-        if acc:
+        if not all(_product_vanishes(p, v) for p, v in pairs):
             product_ok = False
             break
     if product_ok != ok and exhaustive:
         raise VerificationError("residue coverage and vanishing product disagree")
     return CoverReport(ok, missing, product_ok, exhaustive, checked)
+
+
+def _common_refinement(ring, parts):
+    """(atom mask, value index of every part) over the common refinement of
+    step elements of one ring."""
+    cells = [(ring.bool_ring.full_mask, ())]
+    for part in parts:
+        cells = [(mask & bmask, values + (v,)) for mask, values in cells
+                 for bmask, v in part.blocks if mask & bmask]
+    return cells
+
+
+def _product_vanishes(prime, v) -> bool:
+    """Whether prod (v - g_k) is zero in the field, over the generator
+    values g_k of one prime, reading or filling that prime's table."""
+    field, values, table = prime
+    acc = table.get(v)
+    if acc is None:
+        acc = 1
+        for g in values:
+            acc = field.mul_i(acc, field.sub_i(v, g))
+            if not acc:
+                break
+        table[v] = acc
+    return not acc

@@ -100,7 +100,7 @@ def test_criterion_01_three_conditions_agree():
             for _ in range(4):
                 pools.append(tuple(s for s in scalars if rng.random() < 0.5))
         for S in pools:
-            covered = check_residue_cover(R, S, product_cap=0, product_samples=0).ok
+            covered = check_residue_cover(R, S).ok
             # probing the scalars outside S first surfaces failure witnesses
             # immediately; the full element scan still runs when none fires
             in_s = {s.index for s in S}

@@ -239,6 +239,57 @@ def test_witness_output_is_byte_identical(capsys, perturbed_file, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_conv_witness_output_is_byte_identical(capsys, perturbed_file):
+    # the two-block family and the pair printed are the first failing ones
+    code, out, err = run(capsys, "map", "check", perturbed_file, "conv")
+    assert code == 1 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "e4d46a8517587cd855c70d0b2afe7fd86a45a214ae88d946338a06a05fffc85d"
+
+
+# stdout SHA-256 of failing cover checks: generators that miss 2 at the GF(3)
+# prime, so the exhaustive walk stops at element 32 ("33 elements")
+COVER_RING = "GF(4)^[B(atoms=2)] x GF(3)^[B(atoms=1)]"
+COVER_GENS = "0,1,({[0]->g; [1]->g+1} | {[all]->0}),({[0]->g+1; [1]->g} | {[all]->0})"
+PINNED_COVER_OUTPUT = [
+    ((), "exhaustive, 33 elements", "fe76c46935825e89e654ef745c7aa70ab99258462973508d15c377c01c147602"),
+    (("--table-cap", "16"), "sampled, 4 elements",
+     "dec9316fef7304ce43f77894f74bf4f4dd7abf396daf295bfec44f0ce466adc6"),
+]
+
+
+@pytest.mark.parametrize("caps,checked,digest", PINNED_COVER_OUTPUT,
+                         ids=["exhaustive", "sampled"])
+def test_cover_check_output_is_byte_identical(capsys, caps, checked, digest):
+    code, out, err = run(capsys, *caps, "ring", "check", COVER_RING, "cfg", "--gens", COVER_GENS)
+    assert code == 1 and err == ""
+    assert f"vanishing product fails ({checked})" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,cap_text", [
+    (("ring", "decompose", "GF(1000000000000037)^[B(atoms=1)]"), "generated subring exceeds 1000000"),
+    (("ring", "iso", "GF(2)^[B(atoms=1)]", "GF(1000000000000037)^[B(atoms=1)]"),
+     "generated subring exceeds 1000000"),
+    (("ring", "check", "GF(4)^[B(atoms=1)] x GF(1000000000000037)^[B(atoms=1)]", "cfg",
+      "--gens", "0,1"), "cannot list the values of GF(1000000000000037)"),
+], ids=["decompose", "iso", "cfg"])
+def test_huge_fields_are_refused_before_enumeration(capsys, argv, cap_text):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 3 and out == "" and cap_text in err
+
+
+def test_full_presentation_cap_is_the_subring_order(capsys):
+    # the scalars generate GF(4) x GF(3), 12 elements: the cap holds at 12
+    ring = "GF(4)^[B(atoms=2)] x GF(3)^[B(atoms=1)]"
+    code, out, _ = run(capsys, "--subring-cap", "12", "ring", "decompose", ring)
+    assert code == 0 and "generated subring size 12" in out
+    code, out, err = run(capsys, "--subring-cap", "11", "ring", "decompose", ring)
+    assert code == 3 and out == "" and "generated subring exceeds 11 elements" in err
+
+
 def test_sixteen_digit_prime_field_is_fast_and_byte_identical(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "ring", "new", "GF(1000000000000037)^[B(atoms=1)]")

@@ -6,7 +6,7 @@ import pytest
 from finreg import polymaps
 from finreg.errors import CapExceeded, VerificationError
 from finreg.fields import GF
-from finreg.products import ProductRing
+from finreg.products import ProductRing, extract_combination
 from finreg.polymaps import (CONV_CHECK_BUDGET, MapTable, PolyMap, _column_values, as_table,
                              boolean_subring_size, commutes_with_conv,
                              contractive_maps, contractive_to_polynomial,
@@ -33,14 +33,14 @@ def is_contractive_pairs(f):
     return True, None
 
 
-def commutes_with_conv_nblock(f: MapTable, *, budget: int = CONV_CHECK_BUDGET):
-    """The reference for commutes_with_conv: two-block families, then the
-    full n-block definition on rings with at most three atoms."""
+def commutes_with_conv_pairs(f: MapTable):
+    """The reference for commutes_with_conv: the two-block loop on ring
+    elements."""
     ring = f.ring
     elems = ring.cached_elements(len(f.mapping))
     profiles = list(ring.idempotent_profiles())
     fulls = tuple(fac.bool_ring.full_mask for fac in ring.factors)
-    if len(profiles) * len(elems) ** 2 > budget:
+    if len(profiles) * len(elems) ** 2 > CONV_CHECK_BUDGET:
         raise CapExceeded("two-block conv check exceeds the budget")
     for prof in profiles:
         comp = tuple(full ^ m for full, m in zip(fulls, prof))
@@ -52,6 +52,17 @@ def commutes_with_conv_nblock(f: MapTable, *, budget: int = CONV_CHECK_BUDGET):
                 lhs = f.mapping[ring.convex((a, b), (x, y))]
                 if lhs != ax_f + b * f.mapping[y]:
                     return False, ((a, b), (x, y))
+    return True, None
+
+
+def commutes_with_conv_nblock(f: MapTable, *, budget: int = CONV_CHECK_BUDGET):
+    """The reference for commutes_with_conv: two-block families, then the
+    full n-block definition on rings with at most three atoms."""
+    ok, witness = commutes_with_conv_pairs(f)
+    if not ok:
+        return ok, witness
+    ring = f.ring
+    elems = ring.cached_elements(len(f.mapping))
     atoms = ring.total_atoms
     if atoms <= 3:
         labels = ring.prime_labels()
@@ -77,6 +88,16 @@ def commutes_with_conv_nblock(f: MapTable, *, budget: int = CONV_CHECK_BUDGET):
                     if lhs != rhs:
                         return False, (tuple(coeffs), values)
     return True, None
+
+
+def first_matrix_by_extraction(table, gens):
+    """The reference for the first orbit matrix: the extraction rows of
+    f(g) over the family, for every generator g."""
+    m1 = []
+    for g in gens:
+        combo = extract_combination(table(g), gens)
+        m1.append(tuple(c.support_profile() for c in combo.coeffs))
+    return tuple(m1)
 
 
 def _boolean_closure(profiles, ring):
@@ -478,7 +499,8 @@ def test_two_block_conv_check_matches_the_n_block_definition_on_every_small_map(
         for images in itertools.product(elems, repeat=len(elems)):
             f = MapTable(ring, dict(zip(elems, images)))
             expected = commutes_with_conv_nblock(f)
-            assert commutes_with_conv(f) == expected, (ring, images)
+            assert commutes_with_conv(f) == commutes_with_conv_pairs(f) == expected, \
+                (ring, images)
             failures += not expected[0]
     assert failures > 0
 
@@ -563,3 +585,79 @@ def test_table_orbit_examples():
     mixed = {0: 1, 1: 2, 2: 3, 3: 2, 4: 5, 5: 6, 6: 4, 7: 7}
     mixed = MapTable(ring, {elems[i]: elems[j] for i, j in mixed.items()})
     assert polymaps._table_orbit(mixed, 100) == (7, 1, 6)
+
+
+@pytest.mark.parametrize("shape", [((2, 3),), ((3, 1), (2, 1)), ((2, 2), (3, 1)),
+                                   ((3, 2), (2, 1)), ((4, 1), (5, 1)), ((9, 1), (2, 1))],
+                         ids=str)
+def test_position_conv_check_matches_the_pair_loop_on_perturbed_polynomials(shape):
+    ring = P(*shape)
+    rng = random.Random(f"conv:{shape}")
+    outcomes = set()
+    for changes in (0, 0, 0, 1, 1, 1, 2, 2, 3):
+        f = perturbed(random_polymap(ring, rng).induced_table(), rng, changes)
+        expected = commutes_with_conv_pairs(f)
+        assert commutes_with_conv(f) == expected, changes
+        outcomes.add(expected[0])
+    assert outcomes == {True, False}
+
+
+def covering_families(ring, rng, count):
+    """Seeded generator families that cover every residue field: the scalar
+    generators in shuffled order with repeats, and random step elements
+    followed by scalars, so that several generators often take one value."""
+    scalars = [ring.scalar_at(i, k) for i, f in enumerate(ring.factors)
+               for k in f.field.elements()]
+    for k in range(count):
+        if k % 2:
+            gens = scalars + rng.choices(scalars, k=rng.randint(0, 3))
+            rng.shuffle(gens)
+        else:
+            gens = [ring.random_element(rng) for _ in range(rng.randint(1, 4))] + scalars
+        yield gens
+
+
+@pytest.mark.parametrize("shape", [((2, 3),), ((3, 2),), ((4, 2),), ((2, 2), (3, 1)),
+                                   ((2, 1), (4, 1), (3, 1))], ids=str)
+def test_first_matrix_matches_the_extraction_rows(shape):
+    ring = P(*shape)
+    rng = random.Random(f"m1:{shape}")
+    for gens in covering_families(ring, rng, 12):
+        table = random_polymap(ring, rng).induced_table()
+        cert = iteration_orbit(table, gens=gens)
+        assert cert.matrices[0] == first_matrix_by_extraction(table, cert.generators)
+
+
+def test_tampered_polynomial_is_caught_at_the_first_disagreeing_entry(monkeypatch):
+    rng = random.Random(43)
+    real = PolyMap
+    caught = 0
+    for shape in (((3, 2),), ((2, 2), (3, 1)), ((4, 1), (2, 2)), ((5, 1),)):
+        ring = P(*shape)
+        for _ in range(6):
+            table = random_polymap(ring, rng).induced_table()
+            d = rng.randrange(max(fac.field.q for fac in ring.factors))
+            delta = ring.random_element(rng)
+            made = []
+
+            def tampered(ring_, coeffs, d=d, delta=delta, made=made):
+                coeffs = list(coeffs)
+                coeffs[d] = coeffs[d] + delta
+                made.append(real(ring_, coeffs))
+                return made[-1]
+
+            monkeypatch.setattr(polymaps, "PolyMap", tampered)
+            try:
+                contractive_to_polynomial(table)
+                error = None
+            except VerificationError as exc:
+                error = str(exc)
+            monkeypatch.setattr(polymaps, "PolyMap", real)
+            wrong = [x for x, y in table.mapping.items() if made[0].evaluate(x) != y]
+            if wrong:
+                assert error == ("interpolated polynomial disagrees with the contractive "
+                                 f"map at {wrong[0]}")
+                caught += 1
+            else:
+                assert error is None
+    assert caught >= 20

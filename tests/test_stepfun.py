@@ -4,8 +4,11 @@ import random
 import pytest
 
 from finreg.boolean import BooleanRing
+from finreg.errors import CapExceeded, VerificationError
 from finreg.fields import GF, finite_field
-from finreg.stepfun import StepRing, check_residue_cover, extract_combination
+from finreg.products import ProductRing
+from finreg.stepfun import (PRODUCT_CHECK_CAP, CoverReport, StepRing, check_residue_cover,
+                            extract_combination)
 
 
 def ring(q, atoms):
@@ -302,3 +305,105 @@ def test_every_constructor_gives_one_normal_form(q, atoms):
         same = R.from_values([K.one if mask >> j & 1 else K.zero for j in range(atoms)])
         assert e == same and hash(e) == hash(same) and e.blocks == same.blocks
     assert R.scalar(-1) == R.scalar(K.from_int(-1)) == -R.one
+
+
+# -- the residue-cover check against the ring-element product loop -----------
+
+
+def check_residue_cover_by_elements(ring, gens, *, product_cap: int = PRODUCT_CHECK_CAP,
+                                    product_samples: int = 256,
+                                    rng: random.Random | None = None) -> CoverReport:
+    """The reference for check_residue_cover: prod (x - g) multiplied out
+    in the ring for every candidate x."""
+    gens = [ring.coerce(g) for g in gens]
+    missing = tuple(ring.missing_residues(gens))
+    ok = not missing
+    exhaustive = ring.size <= product_cap
+    checked = 0
+    product_ok = True
+    if exhaustive:
+        candidates = ring.elements(product_cap)
+    elif product_samples <= 0:
+        candidates = ()  # caller cross-checks the product on its own
+    else:
+        rng = rng or random.Random(0)
+        candidates = (ring.random_element(rng) for _ in range(product_samples))
+    for x in candidates:
+        acc = ring.one
+        for g in gens:
+            acc = acc * (x - g)
+            if not acc:
+                break
+        checked += 1
+        if acc:
+            product_ok = False
+            break
+    if product_ok != ok and exhaustive:
+        raise VerificationError("residue coverage and vanishing product disagree")
+    return CoverReport(ok, missing, product_ok, exhaustive, checked)
+
+
+def P(*specs):
+    return ProductRing([(GF(q), atoms) for q, atoms in specs])
+
+
+def cover_families(R, rng, count, with_scalars=True):
+    """Seeded families, covering and not: random step elements, alone or
+    with all but at most one scalar; the ring is a step or product ring."""
+    if isinstance(R, StepRing):
+        scalars = [R.scalar(k) for k in R.field.elements()]
+    else:
+        scalars = [R.scalar_at(i, k) for i, f in enumerate(R.factors) for k in f.field.elements()]
+    for k in range(count):
+        gens = [R.random_element(rng) for _ in range(rng.randint(0, 4))]
+        if k % 3 and with_scalars:
+            gens += rng.sample(scalars, len(scalars) - (k % 3 == 1))
+        rng.shuffle(gens)
+        yield gens
+
+
+@pytest.mark.parametrize("R", [ring(2, 3), ring(3, 2), ring(4, 2), ring(5, 1), ring(9, 1),
+                               P((2, 2), (3, 1)), P((4, 1), (2, 2)), P((3, 1), (3, 1)),
+                               P((2, 1), (4, 1), (3, 1))], ids=str)
+def test_cover_check_matches_the_element_product_loop(R):
+    rng = random.Random(f"cover:{R}")
+    outcomes = set()
+    for gens in cover_families(R, rng, 30):
+        for cap in (PRODUCT_CHECK_CAP, R.size - 1):
+            seed = rng.random()
+            expected = check_residue_cover_by_elements(R, gens, product_cap=cap,
+                                                       rng=random.Random(seed))
+            assert check_residue_cover(R, gens, product_cap=cap,
+                                       rng=random.Random(seed)) == expected, (gens, cap)
+            outcomes.add((expected.ok, expected.product_ok, expected.product_exhaustive))
+    assert {(True, True, True), (False, False, True), (True, True, False),
+            (False, False, False)} <= outcomes
+
+
+# a family covering GF(65537) would hold 65537 generators: only random ones there
+@pytest.mark.parametrize("R,count,with_scalars", [(ring(4, 30), 6, True), (ring(2, 3000), 6, True),
+                                                  (P((3, 40), (2, 25)), 6, True),
+                                                  (ring(65537, 2), 2, False)],
+                         ids=["GF(4)^30", "GF(2)^3000", "GF(3)^40xGF(2)^25", "GF(65537)^2"])
+def test_sampled_cover_check_matches_the_element_product_loop_on_large_rings(R, count,
+                                                                            with_scalars):
+    rng = random.Random(f"cover-large:{R}")
+    for gens in cover_families(R, rng, count, with_scalars):
+        seed = rng.random()
+        expected = check_residue_cover_by_elements(R, gens, rng=random.Random(seed))
+        assert check_residue_cover(R, gens, rng=random.Random(seed)) == expected
+
+
+def test_radix_weights_give_the_element_index():
+    for R in (ring(3, 2), ring(4, 3), ring(2, 1)):
+        radix = R.radix()
+        assert [label for label, _, _ in radix] == list(range(R.bool_ring.atom_count))
+        for position, x in enumerate(R.elements()):
+            assert R.element_index(x) == position == \
+                sum(x.index_at(label) * weight for label, _, weight in radix)
+
+
+def test_missing_residues_refuses_a_field_above_the_enumeration_cap():
+    R = StepRing(finite_field(1000000000000037, 1), BooleanRing(2))
+    with pytest.raises(CapExceeded, match="cannot list the values of GF"):
+        R.missing_residues([R.scalar(0), R.scalar(1)])
