@@ -33,7 +33,7 @@ from .errors import CapExceeded, VerificationError
 from .fields import FiniteField, FieldElem, field_embedding, finite_field, fpoly_eval
 from .products import ProductRing, RingSignature
 from .polymaps import MapTable, PolyMap, contractive_to_polynomial, is_contractive
-from .stepfun import StepElem, StepRing
+from .stepfun import StepElem, StepRing, require_listable
 
 TOWER_N_CAP = 6
 SUBFIELD_MATERIALIZE_CAP = 1024
@@ -77,7 +77,7 @@ def vraciu_build(assignment: FieldAssignment) -> VraciuReport:
 
     Atoms are grouped by assigned field (one factor per distinct field); the
     report records where each original atom landed and re-verifies the
-    quotients by evaluating scalars at every prime.
+    quotients by evaluating scalars at every prime (CapExceeded above ENUM_CAP).
     """
     groups: dict = {}
     for j, f in enumerate(assignment.fields):
@@ -95,6 +95,7 @@ def vraciu_build(assignment: FieldAssignment) -> VraciuReport:
     quotients_ok = True
     for j, label in enumerate(atom_map):
         expected = assignment.fields[j]
+        require_listable(expected)
         got = ring.quotient_field(label)
         if got is not expected:
             quotients_ok = False
@@ -427,13 +428,13 @@ def gf4_sequence_demo(n_coords: int = 3, k_free: int = 1) -> SequenceReport:
     f_poly = PolyMap(ring, [ring.zero, c, one + c, one])  # X(X+1)(X+c) expanded
     # expansion check: X(X+1)(X+c) = X^3 + (1+c)X^2 + cX over char 2
     f = MapTable.from_function(ring, lambda x: x * (x + one) * (x + c))
-    if any(f_poly.evaluate(x) != y for x, y in f.mapping.items()):
+    if any(f_poly.evaluate(x) != y for x, y in f.items()):
         raise VerificationError("expanded cubic disagrees with the product form")
 
     sizes = tuple(ring.quotient_field(lbl).q for lbl in ring.prime_labels())
     bound_ok = all(s <= 4 for s in sizes)
-    preserves = all(not y.parts[-1] for y in f.mapping.values()) if n_coords > k_free else True
+    preserves = all(not y.parts[-1] for _, y in f.items()) if n_coords > k_free else True
     contractive, _ = is_contractive(f)
     witness = contractive_to_polynomial(f) if contractive else None
-    matches = witness is not None and all(witness.evaluate(x) == y for x, y in f.mapping.items())
+    matches = witness is not None and all(witness.evaluate(x) == y for x, y in f.items())
     return SequenceReport(ring, sizes, bound_ok, preserves, contractive, witness, matches)

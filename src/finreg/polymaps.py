@@ -9,10 +9,10 @@ there, so one scan per prime finds the first violating pair in linear time.
 Commuting with convex combinations is checked on two-block families only,
 which by induction on the number of blocks covers every family.
 Both directions are made effective here: a contractive map table is
-interpolated blockwise on the embedded field scalars into an explicit
-polynomial (and the result is verified against the whole table before it is
-returned), and a brute-force witness search over all small coefficient
-tuples serves as an independent oracle.
+interpolated prime by prime into an explicit polynomial (and the result is
+verified against the whole table before it is returned), and a brute-force
+witness search over all small coefficient tuples serves as an independent
+oracle.
 
 Iteration finiteness is witnessed two ways, which must agree on tail and
 period.  The table method reads them off the functional graph of f in one
@@ -23,15 +23,14 @@ on a generating family over the finite Boolean subring its entries generate
 prime, the value index of the one generator its column's masks select
 there, so no ring element is built per step.
 
-Every check here runs on per-prime digits, not on ring elements: the ring's
-radix (`ProductRing.radix`) names an element by its position, whose digits
-are its value indices at the primes.  The convex-combination check compares
-positions; the polynomial check runs Horner on coefficient indices once per
-(prime, value); the first orbit matrix takes, at each prime, the first
-generator with the image's value; the contractivity scan reads argument
-values off the position.  The ring-element loops these replace (pairs of
-`ring.convex`, `PolyMap.evaluate` on every element, `extract_combination`
-rows) are kept in the tests as references.
+A map table is the tuple of its image positions.  The ring's radix
+(`ProductRing.radix`) names an element by its position, whose digits are its
+value indices at the primes, and every check here reads digits off positions.
+`MapTable.from_prime_functions` alone assembles positions, from one
+value-index function per prime: Horner on a polynomial's coefficient indices,
+an enumerated contractive map, or an interpolation to be checked.  The ring
+element loops these replace are kept in the tests as references, and
+`PolyMap.evaluate` stays ring Horner, the oracle for polynomial tables.
 """
 
 from __future__ import annotations
@@ -80,13 +79,24 @@ class PolyMap:
 
     __call__ = evaluate
 
-    def induced_table(self, cap: int = TABLE_RING_CAP) -> "MapTable":
-        return MapTable.from_function(self.ring, self.evaluate, cap=cap)
+    def induced_table(self) -> "MapTable":
+        """The table of x -> self(x), by Horner on the coefficients' value
+        indices once per (prime, value)."""
+        def row(label, field):
+            cs = [c.index_at(label) for c in reversed(self.coeffs)]
+            for v in range(field.q):
+                fv = 0
+                for c in cs:
+                    fv = field.add_i(field.mul_i(fv, v), c)
+                yield fv
 
-    def same_function(self, other: "PolyMap", cap: int = TABLE_RING_CAP) -> bool:
+        return MapTable.from_prime_functions(
+            self.ring, (row(label, field) for label, field, _ in self.ring.radix()))
+
+    def same_function(self, other: "PolyMap") -> bool:
         if self.ring != other.ring:
             raise ValueError("polynomials over different rings")
-        return all(self.evaluate(x) == other.evaluate(x) for x in self.ring.elements(cap))
+        return self.induced_table() == other.induced_table()
 
     def __eq__(self, other):
         if isinstance(other, PolyMap):
@@ -103,57 +113,78 @@ class PolyMap:
 
 
 class MapTable:
-    """A total self-map of a small ring, stored explicitly."""
+    """A total self-map of a small ring: images[k] is the position, in
+    `cached_elements` order, of the image of the k-th element.  `mapping`
+    (built on first use), `items`, calls and the text are views of it."""
 
-    __slots__ = ("ring", "mapping")
+    __slots__ = ("ring", "images", "_mapping")
 
-    def __init__(self, ring: ProductRing, mapping, cap: int = TABLE_RING_CAP):
-        elems = ring.cached_elements(cap)
+    def __init__(self, ring: ProductRing, mapping):
+        elems = ring.cached_elements(TABLE_RING_CAP)
         mapping = dict(mapping)
         if len(mapping) != len(elems):
             raise ValueError(f"table must be total: {len(mapping)} entries for {len(elems)} elements")
+        images = []
         for x in elems:
             y = mapping.get(x)
             if y is None:
                 raise ValueError(f"table missing {x}")
-            mapping[x] = ring.coerce(y)
+            images.append(ring.element_index(ring.coerce(y)))
         self.ring = ring
-        self.mapping = mapping
+        self.images = tuple(images)
+        self._mapping = None
 
     @classmethod
-    def from_function(cls, ring, fn, cap: int = TABLE_RING_CAP):
-        return cls(ring, {x: fn(x) for x in ring.cached_elements(cap)}, cap=cap)
+    def _of(cls, ring, images):
+        out = cls.__new__(cls)
+        out.ring = ring
+        out.images = images
+        out._mapping = None
+        return out
+
+    @classmethod
+    def from_function(cls, ring, fn):
+        return cls(ring, {x: fn(x) for x in ring.cached_elements(TABLE_RING_CAP)})
+
+    @classmethod
+    def from_prime_functions(cls, ring, rows):
+        """The map whose image has value index rows[t][v] at the t-th prime
+        of `ring.radix()` where the argument's is v, for v = 0, ..., q - 1.
+        Positions are built prime by prime, the first varying fastest as in
+        element order; rows is read only after the size cap is checked."""
+        ring.cached_elements(TABLE_RING_CAP)
+        images = [0]
+        for (_, _, weight), row in zip(ring.radix(), rows, strict=True):
+            images = [c + b for c in [d * weight for d in row] for b in images]
+        return cls._of(ring, tuple(images))
+
+    @property
+    def mapping(self):
+        if self._mapping is None:
+            self._mapping = dict(self.items())
+        return self._mapping
 
     def __call__(self, x: ProductElem) -> ProductElem:
         return self.mapping[x]
 
     def items(self):
-        for x in self.ring.cached_elements(len(self.mapping)):
-            yield x, self.mapping[x]
+        elems = self.ring.cached_elements(len(self.images))
+        return zip(elems, (elems[k] for k in self.images))
 
     def then(self, other: "MapTable") -> "MapTable":
         """x -> other(self(x))."""
-        out = MapTable.__new__(MapTable)
-        out.ring = self.ring
-        out.mapping = {x: other.mapping[y] for x, y in self.mapping.items()}
-        return out
+        return MapTable._of(self.ring, tuple(other.images[k] for k in self.images))
 
     def key(self):
-        ring = self.ring
-        return tuple(ring.element_index(self.mapping[x])
-                     for x in ring.cached_elements(len(self.mapping)))
+        return self.images
 
     def __eq__(self, other):
         if isinstance(other, MapTable):
-            return self.ring == other.ring and self.mapping == other.mapping
+            return self.ring == other.ring and self.images == other.images
         return NotImplemented
 
     def __str__(self):
         return "\n".join(f"{x} -> {y}" for x, y in self.items())
-
-
-def as_table(f, cap: int = TABLE_RING_CAP) -> MapTable:
-    return f.induced_table(cap) if isinstance(f, PolyMap) else f
 
 
 # ---------------------------------------------------------------------------
@@ -174,51 +205,30 @@ def is_contractive(f: MapTable):
     is the first violating pair in element order (the smallest x, then the
     smallest y after it).
     """
-    ring = f.ring
-    elems = ring.cached_elements(len(f.mapping))
-    images = [f.mapping[x] for x in elems]
-    first = len(elems)
-    for label, field, weight in ring.radix():
-        q = field.q
+    images = f.images
+    n = len(images)
+    radix = [(field.q, weight) for _, field, weight in f.ring.radix()]
+    first = n
+    for q, weight in radix:
         suffix = {}
-        for i in range(len(elems) - 1, -1, -1):
-            v = i // weight % q             # the digit of element i at this prime
-            w = images[i].index_at(label)
+        for i in range(n - 1, -1, -1):
+            v = i // weight % q             # the digits of element i and its image here
+            w = images[i] // weight % q
             seen = suffix.get(v)
             if seen is None:
                 suffix[v] = w
             elif seen is _MIXED or seen != w:
                 suffix[v] = _MIXED
                 first = min(first, i)
-    if first == len(elems):
+    if first == n:
         return True, None
-    x, fx = elems[first], images[first]
-    for y, fy in zip(elems[first + 1:], images[first + 1:]):
-        dom = (x - y).support_profile()
-        img = (fx - fy).support_profile()
-        if any(m & ~d for m, d in zip(img, dom)):
-            return False, (x, y)
-    raise VerificationError(f"the prime scan found no partner for {x}")
-
-
-def per_atom_functions(f: MapTable):
-    """The functions K -> K that f induces on the quotient fields, as
-    {label: {argument value: image value}} over the prime labels; None when
-    at some prime the image value is not determined by the argument's value
-    there, which is exactly when f is not contractive.
-    """
-    ring = f.ring
-    table: dict = {label: {} for label in ring.prime_labels()}
-    for x, y in f.mapping.items():
-        for label, funcs in table.items():
-            vin = x.value_at(label)
-            vout = y.value_at(label)
-            prev = funcs.get(vin)
-            if prev is None:
-                funcs[vin] = vout
-            elif prev != vout:
-                return None
-    return table
+    elems = f.ring.cached_elements(n)
+    fx = images[first]
+    for y in range(first + 1, n):
+        fy = images[y]
+        if any(first // w % q == y // w % q and fx // w % q != fy // w % q for q, w in radix):
+            return False, (elems[first], elems[y])
+    raise VerificationError(f"the prime scan found no partner for {elems[first]}")
 
 
 def commutes_with_conv(f: MapTable):
@@ -235,13 +245,13 @@ def commutes_with_conv(f: MapTable):
     a f(x) + (1 - a) f(y) is at ia[x] + ib[y], read off the images.
     """
     ring = f.ring
-    elems = ring.cached_elements(len(f.mapping))
+    img = f.images
+    elems = ring.cached_elements(len(img))
     profiles = list(ring.idempotent_profiles())
     if len(profiles) * len(elems) ** 2 > CONV_CHECK_BUDGET:
         raise CapExceeded("two-block conv check exceeds the budget")
     radix = ring.radix()
     positions = range(len(elems))
-    img = [ring.element_index(f.mapping[x]) for x in elems]
     for prof in profiles:
         in_a = [(field.q, weight) for (i, j), field, weight in radix if prof[i] >> j & 1]
         pa = [sum(k // w % q * w for q, w in in_a) for k in positions]
@@ -286,7 +296,7 @@ def iteration_orbit(f, gens=None, cap: int = ORBIT_CAP) -> IterationCertificate:
     matrix entries generate has 2^c elements, c the number of distinct
     nonzero patterns recording which entries contain each prime.
     """
-    table = as_table(f)
+    table = f.induced_table() if isinstance(f, PolyMap) else f
     t_size, t_tail, t_period = _table_orbit(table, cap)
     if gens is None:
         return IterationCertificate(t_size, t_tail, t_period, None, None, None, True)
@@ -309,15 +319,15 @@ def iteration_orbit(f, gens=None, cap: int = ORBIT_CAP) -> IterationCertificate:
     # columns indexed by j
     first_gen = {}      # (factor, atom, value index) -> r
     for r, values in enumerate(gen_values):
-        for i, row in enumerate(values):
-            for j, v in enumerate(row):
-                first_gen.setdefault((i, j, v), r)
+        for i, j in ring.prime_labels():
+            first_gen.setdefault((i, j, values[i][j]), r)
+    radix = ring.radix()
     m1 = []
     for g in gens:
         masks = [[0] * len(widths) for _ in gens]
-        for i, part in enumerate(table(g).parts):
-            for j in range(widths[i]):
-                masks[first_gen[i, j, part.index_at(j)]][i] |= 1 << j
+        y = table.images[ring.element_index(g)]
+        for (i, j), field, weight in radix:
+            masks[first_gen[i, j, y // weight % field.q]][i] |= 1 << j
         m1.append(tuple(map(tuple, masks)))
     columns = m1
     matrices = [tuple(columns)]
@@ -355,9 +365,7 @@ def _table_orbit(table: MapTable, cap: int):
     max(h, 1) - 1, h the largest distance to a cycle, and period the lcm of
     the cycle lengths.
     """
-    elems = table.ring.cached_elements(len(table.mapping))
-    position = {x: i for i, x in enumerate(elems)}
-    succ = [position[table.mapping[x]] for x in elems]
+    succ = table.images
     depth = [-1] * len(succ)        # distance to the cycle, once known
     height = 0
     period = 1
@@ -492,48 +500,33 @@ def quotient_order_bound(ring: ProductRing, degree: int) -> BoundReport:
 def contractive_to_polynomial(f: MapTable) -> PolyMap:
     """Interpolate a contractive table into an explicit polynomial.
 
-    Per factor, Lagrange-interpolate the values of f on the embedded field
-    scalars; the coefficients are step functions read off atomwise.  The
-    returned polynomial is verified against the whole table before return.
+    At each prime, Lagrange-interpolate the function f induces there (read
+    off the images of the elements whose other digits are 0); coefficient d
+    is the element whose digit at each prime is that prime's d-th
+    coefficient.  The polynomial's table must equal f's before return.
     """
     ok, witness = is_contractive(f)
     if not ok:
         raise ValueError(f"map is not contractive (witness pair {witness})")
     ring = f.ring
+    images = f.images
+    elems = ring.cached_elements(len(images))
+    radix = ring.radix()
     degree = max(fac.field.q for fac in ring.factors)
-    factor_coeffs = []
-    for i, fac in enumerate(ring.factors):
-        field = fac.field
-        atoms = fac.bool_ring.atom_count
-        scalar_images = {k: f(ring.scalar_at(i, k)).parts[i] for k in field.elements()}
-        atom_coeffs = []
-        for j in range(atoms):
-            table = {k: img.value_at(j) for k, img in scalar_images.items()}
-            coeffs = lagrange_interpolate(field, table)
-            atom_coeffs.append(coeffs + (field.zero,) * (degree - len(coeffs)))
-        cols = []
-        for d in range(degree):
-            cols.append(fac.from_values([atom_coeffs[j][d] for j in range(atoms)]))
-        factor_coeffs.append(cols)
-    coeffs = [ring.element([factor_coeffs[i][d] for i in range(len(ring.factors))])
-              for d in range(degree)]
-    poly = PolyMap(ring, coeffs)
-    # the check: at every prime, Horner on the coefficients' value indices,
-    # once per value met there
-    primes = [(label, field, [c.index_at(label) for c in reversed(poly.coeffs)], {})
-              for label, field, _ in ring.radix()]
-    for x, y in f.mapping.items():
-        for label, field, cs, values in primes:
-            v = x.index_at(label)
-            fv = values.get(v)
-            if fv is None:
-                fv = 0
-                for c in cs:
-                    fv = field.add_i(field.mul_i(fv, v), c)
-                values[v] = fv
-            if fv != y.index_at(label):
-                raise VerificationError(
-                    f"interpolated polynomial disagrees with the contractive map at {x}")
+    digits = []     # per prime, the coefficients' value indices, padded to the degree
+    for _, field, weight in radix:
+        q = field.q
+        row = {field.from_index(v): field.from_index(images[v * weight] // weight % q)
+               for v in range(q)}
+        coeffs = [c.index for c in lagrange_interpolate(field, row)]
+        digits.append(coeffs + [0] * (degree - len(coeffs)))
+    poly = PolyMap(ring, [elems[sum(cs[d] * weight for cs, (_, _, weight) in zip(digits, radix))]
+                          for d in range(degree)])
+    got = poly.induced_table().images
+    if got != images:
+        k = next(k for k, (a, b) in enumerate(zip(got, images)) if a != b)
+        raise VerificationError(
+            f"interpolated polynomial disagrees with the contractive map at {elems[k]}")
     return poly
 
 
@@ -549,14 +542,15 @@ def polynomial_witness_bruteforce(f: MapTable):
     """Independent oracle: search every coefficient tuple of degree less than
     the largest factor order.  Returns a witness PolyMap or None."""
     ring = f.ring
-    elems = ring.cached_elements(len(f.mapping))
+    elems = ring.cached_elements(len(f.images))
     degree = max(fac.field.q for fac in ring.factors)
     total = len(elems) ** degree * len(elems)
     if total > 300_000:
         raise CapExceeded(f"brute-force witness search needs {total} evaluations")
+    items = list(f.items())
     for coeffs in itertools.product(elems, repeat=degree):
         poly = PolyMap(ring, coeffs)
-        if all(poly.evaluate(x) == y for x, y in f.mapping.items()):
+        if all(poly.evaluate(x) == y for x, y in items):
             return poly
     return None
 
@@ -565,39 +559,17 @@ def polynomial_witness_bruteforce(f: MapTable):
 # enumerating contractive maps, random polynomials
 
 
-def contractive_maps(ring: ProductRing, cap: int = TABLE_RING_CAP):
+def contractive_maps(ring: ProductRing):
     """All contractive self-maps, enumerated as tuples of per-prime functions.
 
     Contractive maps act prime-by-prime, so they are exactly the choices of
     one function K -> K per atom; the tests validate this enumeration
     against the definition.
     """
-    labels = ring.prime_labels()
-    ring.cached_elements(cap)
-    per_label = []
-    for label in labels:
-        field = ring.quotient_field(label)
-        qs = list(field.elements())
-        per_label.append([dict(zip(qs, choice))
-                          for choice in itertools.product(qs, repeat=field.q)])
-    for combo in itertools.product(*per_label):
-        funcs = dict(zip(labels, combo))
-        yield _table_from_atom_functions(ring, funcs, cap)
-
-
-def _table_from_atom_functions(ring, funcs, cap: int = TABLE_RING_CAP):
-    mapping = {}
-    for x in ring.cached_elements(cap):
-        parts = []
-        for i, fac in enumerate(ring.factors):
-            values = [funcs[(i, j)][x.parts[i].value_at(j)]
-                      for j in range(fac.bool_ring.atom_count)]
-            parts.append(fac.from_values(values))
-        mapping[x] = ProductElem(ring, tuple(parts))
-    out = MapTable.__new__(MapTable)
-    out.ring = ring
-    out.mapping = mapping
-    return out
+    ring.cached_elements(TABLE_RING_CAP)
+    choices = [itertools.product(range(field.q), repeat=field.q) for _, field, _ in ring.radix()]
+    for rows in itertools.product(*choices):
+        yield MapTable.from_prime_functions(ring, rows)
 
 
 def random_polymap(ring: ProductRing, rng: random.Random, max_degree: int = 3) -> PolyMap:

@@ -344,7 +344,7 @@ def _interpolation_roundtrip(seed):
     count = 0
     for f in contractive_maps(R):
         poly = contractive_to_polynomial(f)
-        assert all(poly.evaluate(x) == y for x, y in f.mapping.items())
+        assert all(poly.evaluate(x) == y for x, y in f.items())
         count += 1
     assert count == 729
     return True, "all 729 contractive maps of GF(3)^[B2] interpolated"

@@ -26,7 +26,8 @@ convex combination (`StepRing.convex`), the extraction coefficient masks
 (`extraction_masks`), the per-atom residue coverage
 (`StepRing.missing_residues`), the residue-cover check for step and product
 rings alike (`check_residue_cover`, on per-prime digits), the ring-size
-formatter (`size_text`), and the caps `ENUM_CAP` and `PRODUCT_CHECK_CAP`.
+formatter (`size_text`), the caps `ENUM_CAP` and `PRODUCT_CHECK_CAP`, and
+the refusal to list a field above the first (`require_listable`).
 `StepRing.radix` names every prime with its field and place value, so an
 element's position in `elements()` is the sum of its digits times those.
 Step rings are interned, so ring equality is identity.
@@ -59,6 +60,13 @@ def size_text(step_rings) -> str:
         for f in step_rings:
             exponents[f.field.p] += f.field.n * f.atom_count
         return " * ".join(f"{p}^{e}" for p, e in sorted(exponents.items()))
+
+
+def require_listable(field: FiniteField):
+    """Raise CapExceeded when the field has more than ENUM_CAP elements."""
+    if field.q > ENUM_CAP:
+        raise CapExceeded(f"cannot list the values of {field}: "
+                          f"{field.q} elements, above the cap {ENUM_CAP}")
 
 
 _STEP_RINGS: dict = {}
@@ -252,9 +260,7 @@ class StepRing:
         for atom in range(self.bool_ring.atom_count):
             residues = {g.index_at(atom) for g in gens}
             if len(residues) != self.field.q:
-                if self.field.q > ENUM_CAP:
-                    raise CapExceeded(f"cannot list the values of {self.field}: "
-                                      f"{self.field.q} elements, above the cap {ENUM_CAP}")
+                require_listable(self.field)
                 missing.extend((atom, v) for v in self.field.elements()
                                if v.index not in residues)
         return missing

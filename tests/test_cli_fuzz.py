@@ -20,6 +20,7 @@ from finreg.cli import main
 from finreg.errors import CapExceeded
 from finreg.polymaps import MapTable, random_polymap
 from finreg.products import ring_from_signature
+from finreg.zmodpoly import is_prime
 
 SEED = 20261018
 CASES = 200
@@ -176,16 +177,31 @@ SMALL_FIELDS = ("GF(2)", "GF(3)", "GF(4)", "GF(5)", "GF(8)", "GF(9)", "GF(2^4)",
                 "GF(25)", "GF(49)", "GF(6)", "GF(1)", "GF(0)", "GF(2^0)")
 
 
+# a --fields value naming only prime fields of 12 or more digits
+HUGE_FIELDS = re.compile(r"GF\(\d{12,}\)(,GF\(\d{12,}\))*")
+
+
+def long_prime_fields(rng: random.Random) -> str:
+    """One to three copies of GF(p), p a prime of 12 to 24 digits."""
+    p = rng.randrange(10 ** 11, 10 ** rng.randint(12, 24))
+    while not is_prime(p):
+        p += 1
+    return ",".join([f"GF({p})"] * rng.randint(1, 3))
+
+
 def demo_option_mutant(argv, i, rng):
     """A replacement for the option value argv[i]: a small integer, a long
-    digit run or a text mutant; for --fields a list of small fields or a text
-    mutant.  Valid `demo tower` sizes 4 to 6 run from seconds to minutes and
-    `demo vraciu` lists every element of each field, so those two are given
-    no such values."""
+    digit run or a text mutant; for --fields a list of small fields, a list
+    of long-digit prime fields or a text mutant.  `demo vraciu` refuses a
+    field of more than 2^20 elements (exit 3) before listing its elements.
+    Valid `demo tower` sizes 4 to 6 run from seconds to minutes, so `--n` is
+    given no such value."""
     value = argv[i]
     kind = rng.randrange(3)
     if argv[i - 1] == "--fields":
-        if kind:
+        if kind == 1:
+            return long_prime_fields(rng)
+        if kind == 2:
             return mutate(value, rng)
         return ",".join(rng.choice(SMALL_FIELDS) for _ in range(rng.randint(0, 4)))
     if kind == 0:
@@ -199,6 +215,7 @@ def demo_option_mutant(argv, i, rng):
 
 def test_demo_options_keep_the_exit_code_contract(capsys):
     codes = set()
+    huge = 0
     for k in range(DEMO_CASES):
         rng = random.Random(f"{SEED}:demo:{k}")
         argv = list(rng.choice(DEMO_ARGVS))
@@ -208,8 +225,12 @@ def test_demo_options_keep_the_exit_code_contract(capsys):
         assert code in (0, 1, 2, 3), (k, argv, err)
         assert "Traceback" not in err, (k, argv, err)
         assert run(capsys, CAPS + argv)[:2] == (code, out), (k, argv)
+        if argv[1] == "vraciu" and HUGE_FIELDS.fullmatch(argv[3]):
+            assert code == 3 and "cannot list the values of GF(" in err, (k, argv, err)
+            huge += 1
         codes.add(code)
     assert {0, 2, 3} <= codes
+    assert huge >= 3
 
 
 SIGNATURE_TEXTS = ["sig{GF(2):2, GF(3):1}", "sig{GF(4):1, GF(2):3}", "sig{GF(9):2}",

@@ -6,14 +6,15 @@ import pytest
 from finreg import polymaps
 from finreg.errors import CapExceeded, VerificationError
 from finreg.fields import GF
-from finreg.products import ProductRing, extract_combination
-from finreg.polymaps import (CONV_CHECK_BUDGET, MapTable, PolyMap, _column_values, as_table,
-                             boolean_subring_size, commutes_with_conv,
+from finreg.products import ProductElem, ProductRing, extract_combination
+from finreg.polymaps import (CONV_CHECK_BUDGET, TABLE_RING_CAP, MapTable, PolyMap,
+                             _column_values, boolean_subring_size, commutes_with_conv,
                              contractive_maps, contractive_to_polynomial,
                              is_contractive, is_polynomial, iteration_orbit,
-                             per_atom_functions, polynomial_witness_bruteforce,
+                             polynomial_witness_bruteforce,
                              quotient_order_bound, random_polymap,
                              support_exponent)
+from finreg.zmodpoly import prime_power
 
 
 def P(*specs):
@@ -31,6 +32,26 @@ def is_contractive_pairs(f):
             if any(m & ~d for m, d in zip(img, dom)):
                 return False, (x, y)
     return True, None
+
+
+def per_atom_functions(f: MapTable):
+    """The functions K -> K that f induces on the quotient fields, as
+    {label: {argument value: image value}} over the prime labels; None when
+    at some prime the image value is not determined by the argument's value
+    there, which is exactly when f is not contractive.
+    """
+    ring = f.ring
+    table: dict = {label: {} for label in ring.prime_labels()}
+    for x, y in f.mapping.items():
+        for label, funcs in table.items():
+            vin = x.value_at(label)
+            vout = y.value_at(label)
+            prev = funcs.get(vin)
+            if prev is None:
+                funcs[vin] = vout
+            elif prev != vout:
+                return None
+    return table
 
 
 def commutes_with_conv_pairs(f: MapTable):
@@ -409,10 +430,9 @@ def test_contractive_to_polynomial_rejects_non_contractive():
 
 def test_coordinatewise_maps_roundtrip():
     R = P((3, 2))
-    sq = {x: x * x for x in GF(3).elements()}
-    const1 = {x: GF(3).one for x in GF(3).elements()}
-    from finreg.polymaps import _table_from_atom_functions
-    f = _table_from_atom_functions(R, {(0, 0): sq, (0, 1): const1})
+    sq = [(x * x).index for x in GF(3).elements()]
+    const1 = [GF(3).one.index] * 3
+    f = MapTable.from_prime_functions(R, [sq, const1])
     poly = contractive_to_polynomial(f)
     assert all(poly.evaluate(x) == f(x) for x in R.cached_elements())
 
@@ -661,3 +681,161 @@ def test_tampered_polynomial_is_caught_at_the_first_disagreeing_entry(monkeypatc
             else:
                 assert error is None
     assert caught >= 20
+
+
+# ---------------------------------------------------------------------------
+# position-native tables against the element-keyed reference
+
+
+class DictMapTable:
+    """A total self-map of a small ring, stored explicitly: the element-keyed
+    table that `MapTable` replaced, kept as the reference for its views."""
+
+    __slots__ = ("ring", "mapping")
+
+    def __init__(self, ring: ProductRing, mapping, cap: int = TABLE_RING_CAP):
+        elems = ring.cached_elements(cap)
+        mapping = dict(mapping)
+        if len(mapping) != len(elems):
+            raise ValueError(f"table must be total: {len(mapping)} entries for {len(elems)} elements")
+        for x in elems:
+            y = mapping.get(x)
+            if y is None:
+                raise ValueError(f"table missing {x}")
+            mapping[x] = ring.coerce(y)
+        self.ring = ring
+        self.mapping = mapping
+
+    @classmethod
+    def from_function(cls, ring, fn, cap: int = TABLE_RING_CAP):
+        return cls(ring, {x: fn(x) for x in ring.cached_elements(cap)}, cap=cap)
+
+    def __call__(self, x: ProductElem) -> ProductElem:
+        return self.mapping[x]
+
+    def items(self):
+        for x in self.ring.cached_elements(len(self.mapping)):
+            yield x, self.mapping[x]
+
+    def then(self, other: "DictMapTable") -> "DictMapTable":
+        """x -> other(self(x))."""
+        out = DictMapTable.__new__(DictMapTable)
+        out.ring = self.ring
+        out.mapping = {x: other.mapping[y] for x, y in self.mapping.items()}
+        return out
+
+    def key(self):
+        ring = self.ring
+        return tuple(ring.element_index(self.mapping[x])
+                     for x in ring.cached_elements(len(self.mapping)))
+
+    def __eq__(self, other):
+        if isinstance(other, DictMapTable):
+            return self.ring == other.ring and self.mapping == other.mapping
+        return NotImplemented
+
+    def __str__(self):
+        return "\n".join(f"{x} -> {y}" for x, y in self.items())
+
+
+def contractive_maps_by_elements(ring: ProductRing, cap: int = TABLE_RING_CAP):
+    """The reference enumeration of contractive maps: one dict K -> K per
+    prime, applied element by element."""
+    labels = ring.prime_labels()
+    ring.cached_elements(cap)
+    per_label = []
+    for label in labels:
+        field = ring.quotient_field(label)
+        qs = list(field.elements())
+        per_label.append([dict(zip(qs, choice))
+                          for choice in itertools.product(qs, repeat=field.q)])
+    for combo in itertools.product(*per_label):
+        funcs = dict(zip(labels, combo))
+        mapping = {}
+        for x in ring.cached_elements(cap):
+            parts = []
+            for i, fac in enumerate(ring.factors):
+                values = [funcs[(i, j)][x.parts[i].value_at(j)]
+                          for j in range(fac.bool_ring.atom_count)]
+                parts.append(fac.from_values(values))
+            mapping[x] = ProductElem(ring, tuple(parts))
+        yield DictMapTable(ring, mapping)
+
+
+def small_shapes(max_size):
+    """Every ring shape, a multiset of (q, atoms) factors, with at most
+    max_size elements."""
+    singles = [(q, m) for q in range(2, max_size + 1) if prime_power(q)
+               for m in range(1, max_size.bit_length()) if q ** m <= max_size]
+
+    def grow(shape, size, start):
+        out = [shape] if shape else []
+        for k in range(start, len(singles)):
+            q, m = singles[k]
+            if size * q ** m <= max_size:
+                out += grow(shape + (singles[k],), size * q ** m, k)
+        return out
+
+    return grow((), 1, 0)
+
+
+def test_induced_table_matches_ring_horner_on_every_small_shape():
+    rng = random.Random(47)
+    shapes = small_shapes(81)
+    assert len(shapes) == len(set(shapes)) > 200
+    big = [((2, 12),), ((4, 6),), ((2, 2), (5, 2), (8, 1), (4, 1))]
+    for shape in shapes + big:
+        ring = P(*shape)
+        assert ring.size <= TABLE_RING_CAP
+        poly = random_polymap(ring, rng, max_degree=5)
+        want = MapTable.from_function(ring, poly.evaluate)
+        assert poly.induced_table() == want, (shape, poly)
+        if ring.size <= 81:
+            ref = DictMapTable(ring, want.mapping)
+            assert want.key() == ref.key() and str(want) == str(ref), (shape, poly)
+
+
+def test_table_views_match_the_dict_reference():
+    rng = random.Random(53)
+    for shape in (((2, 3),), ((3, 1), (2, 2)), ((4, 1), (3, 1)), ((9, 1),)):
+        ring = P(*shape)
+        elems = ring.cached_elements()
+        tables = list(random_self_maps(ring, rng, 6))
+        refs = [DictMapTable(ring, t.mapping) for t in tables]
+        for f, rf in zip(tables, refs):
+            assert f.key() == rf.key()
+            assert str(f) == str(rf)
+            assert list(f.items()) == list(rf.items())
+            assert all(f(x) == rf(x) for x in elems)
+            assert f.mapping is f.mapping
+            for g, rg in zip(tables, refs):
+                assert (f == g) == (rf == rg)
+                assert f.then(g).key() == rf.then(rg).key()
+                assert f.then(g).mapping == rf.then(rg).mapping
+
+
+def test_contractive_maps_match_the_element_wise_builder():
+    ring = P((3, 2))
+    got = list(contractive_maps(ring))
+    want = list(contractive_maps_by_elements(ring))
+    assert len(got) == len(want) == 729
+    assert [f.key() for f in got] == [g.key() for g in want]
+    assert all(f.mapping == g.mapping for f, g in zip(got[::50], want[::50]))
+    mixed = P((2, 1), (3, 1))
+    assert [f.key() for f in contractive_maps(mixed)] == \
+        [g.key() for g in contractive_maps_by_elements(mixed)]
+
+
+def test_table_construction_errors_match_the_reference():
+    ring = P((2, 1), (3, 1))
+    elems = ring.cached_elements()
+    full = {x: x * x for x in elems}
+    short = dict(list(full.items())[:-1])
+    stray = dict(list(full.items())[1:])
+    stray["junk"] = ring.zero
+    for mapping, text in ((short, "table must be total: 5 entries for 6 elements"),
+                          (stray, f"table missing {elems[0]}")):
+        for cls in (MapTable, DictMapTable):
+            with pytest.raises(ValueError) as exc:
+                cls(ring, mapping)
+            assert str(exc.value) == text
