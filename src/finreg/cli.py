@@ -5,6 +5,9 @@ Exit codes: 0 the command succeeded and every checked property holds;
 3 a configured cap was exceeded; 4 an internal check failed (a bug: report
 it).  Output is deterministic for identical inputs; all sampling flows from
 --seed.
+
+A process loads only the modules its command runs: the parser needs the
+ring layers for its cap defaults, and each command imports the rest.
 """
 
 from __future__ import annotations
@@ -15,30 +18,29 @@ import random
 import sys
 
 from .errors import CapExceeded, ParseError
-from .gallery import (FieldAssignment, gf4_kernel_check, gf4_sequence_demo,
-                      tower_build, tower_verify, vraciu_build)
 from .boolean import ATOM_CAP, BooleanRing
-from .polymaps import (ORBIT_CAP, commutes_with_conv, contractive_to_polynomial,
-                       is_contractive, is_polynomial, iteration_orbit)
 from .products import (SUBRING_CAP, ProductRing, SubringPresentation, char_decompose,
                        check_residue_cover, full_presentation, structure_decompose,
                        subring_cap_exceeded)
-from .selftest import run_selftest
 from .stepfun import PRODUCT_CHECK_CAP, size_text
-from . import textio as tio
 
-
-def _split_gens(text: str):
-    return [chunk.strip() for chunk in tio.split_top_level(text, ",") if chunk.strip()]
+# the default of `map orbit --cap`, polymaps.ORBIT_CAP (a test keeps them equal);
+# the parser does not import polymaps for it
+ORBIT_CAP = 100_000
 
 
 def _parse_gens(ring: ProductRing, text: str | None):
     if text is None:
         return None
-    return [tio.parse_element(ring, g) for g in _split_gens(text)]
+    from . import textio as tio
+
+    chunks = (chunk.strip() for chunk in tio.split_top_level(text, ","))
+    return [tio.parse_element(ring, g) for g in chunks if g]
 
 
 def _load_ring(args, text: str) -> ProductRing:
+    from . import textio as tio
+
     ring = tio.parse_ring(text)
     for f in ring.factors:
         if f.bool_ring.atom_count > args.atom_cap:
@@ -48,6 +50,8 @@ def _load_ring(args, text: str) -> ProductRing:
 
 
 def _load_map(args, path: str):
+    from . import textio as tio
+
     ws = tio.Workspace.load(path)
     maps = ws.of_kind("map")
     if args.name:
@@ -163,6 +167,8 @@ def cmd_ring_iso(args):
 
 
 def cmd_map_check(args):
+    from .polymaps import commutes_with_conv, is_contractive, is_polynomial
+
     name, ring, table = _load_map(args, args.map)
     if args.what == "contractive":
         ok, witness = is_contractive(table)
@@ -196,6 +202,8 @@ def cmd_map_check(args):
 
 
 def cmd_map_topoly(args):
+    from .polymaps import contractive_to_polynomial, is_contractive
+
     name, ring, table = _load_map(args, args.map)
     ok, witness = is_contractive(table)
     if not ok:
@@ -212,6 +220,8 @@ def cmd_map_topoly(args):
 
 
 def cmd_map_orbit(args):
+    from .polymaps import iteration_orbit
+
     name, ring, table = _load_map(args, args.map)
     gens = _parse_gens(ring, args.gens)
     cert = iteration_orbit(table, gens=gens, cap=args.cap)
@@ -228,6 +238,9 @@ def cmd_map_orbit(args):
 
 
 def cmd_demo_vraciu(args):
+    from . import textio as tio
+    from .gallery import FieldAssignment, vraciu_build
+
     fields = [tio.parse_field(t.strip()) for t in args.fields.split(",") if t.strip()]
     fa = FieldAssignment(BooleanRing(len(fields)), tuple(fields))
     rep = vraciu_build(fa)
@@ -243,6 +256,8 @@ def cmd_demo_vraciu(args):
 
 
 def cmd_demo_tower(args):
+    from .gallery import tower_build, tower_verify
+
     tr = tower_build(args.q, args.n)
     rng = random.Random(args.seed)
     rep = tower_verify(tr, rng=rng, member_samples=args.samples)
@@ -260,6 +275,8 @@ def cmd_demo_tower(args):
 
 
 def cmd_demo_gf4_kernel(args):
+    from .gallery import gf4_kernel_check
+
     rep = gf4_kernel_check()
     print(f"t(t+1)(t^2+t+1) = 0 on all of GF(4): {rep.relation_ok}")
     hv = ", ".join(str(v) for v in rep.h_values)
@@ -275,6 +292,8 @@ def cmd_demo_gf4_kernel(args):
 
 
 def cmd_demo_gf4_sequence(args):
+    from .gallery import gf4_sequence_demo
+
     rep = gf4_sequence_demo(args.n, args.k)
     print(f"truncated sequence ring {rep.ring}")
     print(f"quotient sizes {list(rep.quotient_sizes)} (all <= 4: {rep.quotient_bound_ok})")
@@ -291,6 +310,8 @@ def cmd_demo_gf4_sequence(args):
 
 
 def cmd_selftest(args):
+    from .selftest import run_selftest
+
     ok = run_selftest(seed=args.seed)
     return 0 if ok else 1
 

@@ -228,10 +228,7 @@ class FiniteField:
             def step(v):
                 return v * b % p
         else:
-            bc = elems[b].coeffs
-
-            def step(v):    # the sparse base drives zmodpoly.mul's outer loop
-                return self._coeffs_to_index(self._mul_coeffs(bc, elems[v].coeffs))
+            step = self._linear_step(elems[b].coeffs)
         # 16-bit tables: exp[k] is the index of g^k, log[i] the log of the
         # element of index i, with m standing for the log of 0
         exp = array("H", [0]) * m
@@ -250,6 +247,41 @@ class FiniteField:
         succ[p - 1::p] = log[::p]
         self._zech = array("H", map(succ.__getitem__, exp))
         self._log, self._exp = log, exp
+
+    def _linear_step(self, bc):
+        """v -> index of b*v for odd p and n >= 2, b of coefficients bc.
+
+        Multiplying by b is GF(p)-linear in the base-p digits of v.  The images
+        of v's low and high digit halves are tabulated as vectors packed `s`
+        bits per digit, wide enough for the sum of two digits, so the halves
+        add as integers with no carry between digits; tables over `width`
+        packed digits then reduce each digit mod p and weight it into an index.
+        """
+        p, n, elems = self.p, self.n, self._elems
+        s = (2 * p - 2).bit_length()
+        half = p ** ((n + 1) // 2)
+
+        def packed(coeffs):
+            return sum(d << (j * s) for j, d in enumerate(coeffs))
+
+        low = [packed(self._mul_coeffs(bc, elems[u].coeffs)) for u in range(half)]
+        high = [packed(self._mul_coeffs(bc, elems[u * half].coeffs))
+                for u in range(self.q // half)]
+        width = max(1, 12 // s)
+        mask = (1 << (width * s)) - 1
+        digit = [d % p for d in range(1 << s)]
+        table = digit
+        for _ in range(width - 1):      # packed key f_0 + (rest << s) -> f_0 + p*rest
+            table = [d + p * t for t in table for d in digit]
+        chunks = [(k * s, [t * p ** k for t in table]) for k in range(0, n, width)]
+
+        def step(v):
+            w = low[v % half] + high[v // half]
+            i = 0
+            for shift, weights in chunks:
+                i += weights[(w >> shift) & mask]
+            return i
+        return step
 
     # -- index kernels -------------------------------------------------------
     # Arithmetic on canonical indices, the one home of the table formulas:

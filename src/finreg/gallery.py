@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field as dc_field
 
 from .boolean import BooleanRing
 from .errors import CapExceeded, VerificationError
 from .fields import FiniteField, FieldElem, field_embedding, finite_field, fpoly_eval
 from .products import ProductRing, RingSignature
 from .polymaps import MapTable, PolyMap, contractive_to_polynomial, is_contractive
+from .record import Record, _set
 from .stepfun import StepElem, StepRing, require_listable
 
 TOWER_N_CAP = 6
@@ -43,29 +43,28 @@ SUBFIELD_MATERIALIZE_CAP = 1024
 # residue-field assignments
 
 
-@dataclass(frozen=True)
-class FieldAssignment:
+class FieldAssignment(Record):
     """One finite field per atom; uniform characteristic."""
 
-    bool_ring: BooleanRing
-    fields: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.fields) != self.bool_ring.atom_count:
-            raise ValueError(
-                f"expected {self.bool_ring.atom_count} fields, got {len(self.fields)}")
-        chars = {f.p for f in self.fields}
+    def __init__(self, bool_ring: BooleanRing, fields: tuple):
+        if len(fields) != bool_ring.atom_count:
+            raise ValueError(f"expected {bool_ring.atom_count} fields, got {len(fields)}")
+        chars = {f.p for f in fields}
         if len(chars) != 1:
             raise ValueError(f"mixed characteristics {sorted(chars)} in assignment")
+        _set(self, "_key", (bool_ring, fields))
 
 
-@dataclass(frozen=True)
-class VraciuReport:
-    ring: ProductRing
-    atom_map: tuple          # original atom -> (factor, atom) label
-    signature: RingSignature
-    atom_count_ok: bool
-    quotients_ok: bool
+class VraciuReport(Record):
+    """`atom_map` sends each original atom to its (factor, atom) label."""
+
+    __slots__ = ()
+
+    def __init__(self, ring: ProductRing, atom_map: tuple, signature: RingSignature,
+                 atom_count_ok: bool, quotients_ok: bool):
+        _set(self, "_key", (ring, atom_map, signature, atom_count_ok, quotients_ok))
 
     @property
     def ok(self):
@@ -252,16 +251,15 @@ def tower_build(q: int, n_atoms: int) -> TowerRing:
     return TowerRing(q, n_atoms, fields, fields[-1])
 
 
-@dataclass(frozen=True)
-class TowerReport:
-    tower: TowerRing
-    closure_ok: bool
-    closure_exhaustive: bool
-    closure_checked: int
-    quotient_sizes: tuple
-    quotients_ok: bool
-    max_quotient: int
-    membership_agree_checked: int
+class TowerReport(Record):
+    __slots__ = ()
+
+    def __init__(self, tower: TowerRing, closure_ok: bool, closure_exhaustive: bool,
+                 closure_checked: int, quotient_sizes: tuple, quotients_ok: bool,
+                 max_quotient: int, membership_agree_checked: int):
+        _set(self, "_key", (tower, closure_ok, closure_exhaustive, closure_checked,
+                            quotient_sizes, quotients_ok, max_quotient,
+                            membership_agree_checked))
 
     @property
     def ok(self):
@@ -338,13 +336,16 @@ def tower_verify(tr: TowerRing, *, rng: random.Random | None = None,
 # the order-4 obstruction kernel
 
 
-@dataclass(frozen=True)
-class KernelReport:
-    relation_ok: bool            # t(t+1)(t^2+t+1) = 0 on all of GF(4)
-    h_values: tuple              # h at 0, 1, g, g+1
-    h_table_ok: bool             # pattern (0, 0, 0, 1)
-    candidates: tuple            # (coefficient bits, mismatch count) per candidate
-    all_rejected: bool
+class KernelReport(Record):
+    """`relation_ok`: t(t+1)(t^2+t+1) = 0 on all of GF(4); `h_values`: h at
+    0, 1, g, g+1, and `h_table_ok` that they are (0, 0, 0, 1); `candidates`:
+    (coefficient bits, mismatch count) per candidate."""
+
+    __slots__ = ()
+
+    def __init__(self, relation_ok: bool, h_values: tuple, h_table_ok: bool,
+                 candidates: tuple, all_rejected: bool):
+        _set(self, "_key", (relation_ok, h_values, h_table_ok, candidates, all_rejected))
 
     @property
     def ok(self):
@@ -381,18 +382,20 @@ def gf4_kernel_check() -> KernelReport:
 # finite truncations of the bounded sequence ring
 
 
-@dataclass(frozen=True)
-class SequenceReport:
-    ring: ProductRing
-    quotient_sizes: tuple
-    quotient_bound_ok: bool      # every quotient has at most 4 elements
-    preserves_ring: bool         # f lands in the ring (order-2 part vanishes)
-    contractive: bool
-    witness: PolyMap | None      # interpolated polynomial for the truncation
-    witness_matches: bool
-    note: str = dc_field(default=(
-        "finite truncation: the map is polynomial here; the obstruction in "
-        "gf4_kernel_check only bites with infinitely many coordinates"))
+class SequenceReport(Record):
+    """`quotient_bound_ok`: every quotient has at most 4 elements;
+    `preserves_ring`: f lands in the ring (the order-2 part vanishes);
+    `witness`: the interpolated polynomial for the truncation."""
+
+    __slots__ = ()
+
+    def __init__(self, ring: ProductRing, quotient_sizes: tuple, quotient_bound_ok: bool,
+                 preserves_ring: bool, contractive: bool, witness: PolyMap | None,
+                 witness_matches: bool, note: str = (
+                     "finite truncation: the map is polynomial here; the obstruction in "
+                     "gf4_kernel_check only bites with infinitely many coordinates")):
+        _set(self, "_key", (ring, quotient_sizes, quotient_bound_ok, preserves_ring,
+                            contractive, witness, witness_matches, note))
 
     @property
     def ok(self):

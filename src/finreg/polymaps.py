@@ -38,11 +38,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 
 from .errors import CapExceeded, VerificationError
 from .fields import lagrange_interpolate
 from .products import ProductElem, ProductRing, check_residue_cover
+from .record import Record, _set
 
 TABLE_RING_CAP = 4096
 CONV_CHECK_BUDGET = 500_000
@@ -273,17 +273,17 @@ def commutes_with_conv(f: MapTable):
 # iteration orbits
 
 
-@dataclass(frozen=True)
-class IterationCertificate:
-    """Witness that the iterates of a map form a finite set."""
+class IterationCertificate(Record):
+    """Witness that the iterates of a map form a finite set; `matrices`
+    holds the coefficient matrices M^1, M^2, ..."""
 
-    orbit_size: int
-    tail: int
-    period: int
-    generators: tuple | None
-    matrices: tuple | None          # coefficient matrices M^1, M^2, ...
-    boolean_subring_size: int | None
-    methods_agree: bool
+    __slots__ = ()
+
+    def __init__(self, orbit_size: int, tail: int, period: int, generators: tuple | None,
+                 matrices: tuple | None, boolean_subring_size: int | None,
+                 methods_agree: bool):
+        _set(self, "_key", (orbit_size, tail, period, generators, matrices,
+                            boolean_subring_size, methods_agree))
 
 
 def iteration_orbit(f, gens=None, cap: int = ORBIT_CAP) -> IterationCertificate:
@@ -465,16 +465,17 @@ def support_exponent(ring: ProductRing, *, cap: int = TABLE_RING_CAP,
     return m, verified
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """Outcome of checking that every residue order is < 2k for a degree-k
-    polynomial support map."""
+    polynomial support map.  Strict violations are orders above the bound
+    (genuinely impossible), boundary cases orders equal to it (the all-GF(2)
+    edge)."""
 
-    degree: int
-    bound: int
-    orders: tuple
-    strict_violations: tuple   # orders > bound: genuinely impossible
-    boundary_cases: tuple      # orders == bound: the all-GF(2) edge
+    __slots__ = ()
+
+    def __init__(self, degree: int, bound: int, orders: tuple, strict_violations: tuple,
+                 boundary_cases: tuple):
+        _set(self, "_key", (degree, bound, orders, strict_violations, boundary_cases))
 
     @property
     def holds_strictly(self):

@@ -27,11 +27,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 
 from .boolean import BooleanRing
 from .errors import CapExceeded, VerificationError
 from .fields import FieldElem, FiniteField, finite_field
+from .record import Record, _set
 # check_residue_cover serves step and product rings alike; it is re-exported here
 from .stepfun import (ENUM_CAP, PRODUCT_CHECK_CAP, ConvexCombination, StepElem, StepRing,
                       check_residue_cover, extraction_masks, size_text)
@@ -322,16 +322,14 @@ def extract_combination(x: ProductElem, gens) -> ConvexCombination:
 # presentations and the generated subring
 
 
-@dataclass(frozen=True)
-class SubringPresentation:
+class SubringPresentation(Record):
     """Names the convex span (over all ambient idempotents) of the subring
     generated by `gens` together with 0, 1, -1."""
 
-    ambient: ProductRing
-    gens: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "gens", tuple(self.ambient.coerce(g) for g in self.gens))
+    def __init__(self, ambient: ProductRing, gens):
+        _set(self, "_key", (ambient, tuple(ambient.coerce(g) for g in gens)))
 
 
 def full_presentation(ring: ProductRing) -> SubringPresentation:
@@ -401,12 +399,13 @@ def subring_cap_exceeded(cap):
 # finite reduced decomposition (Chinese remainder along primitive idempotents)
 
 
-@dataclass(frozen=True)
-class FieldClass:
+class FieldClass(Record):
     """Isomorphism class of a finite field."""
 
-    p: int
-    n: int
+    __slots__ = ()
+
+    def __init__(self, p: int, n: int):
+        _set(self, "_key", (p, n))
 
     @property
     def order(self):
@@ -485,11 +484,14 @@ def decompose_finite_reduced(elements, *, assume_closed: bool = False):
 # the canonical signature
 
 
-@dataclass(frozen=True)
-class RingSignature:
-    """field class -> total atom count, the complete isomorphism invariant."""
+class RingSignature(Record):
+    """field class -> total atom count, the complete isomorphism invariant:
+    `entries` holds ((p, n), atoms) pairs sorted by (p, n)."""
 
-    entries: tuple  # ((p, n), atoms) sorted by (p, n)
+    __slots__ = ()
+
+    def __init__(self, entries: tuple):
+        _set(self, "_key", (entries,))
 
     @classmethod
     def from_dict(cls, d):
@@ -525,18 +527,21 @@ def ring_from_signature(sig: RingSignature) -> ProductRing:
     return ProductRing(factors)
 
 
-@dataclass(frozen=True)
-class WitnessBlock:
-    epsilon: ProductElem
-    field: FieldClass
-    atom_masks: tuple  # per ambient factor
-    atom_total: int
+class WitnessBlock(Record):
+    """`atom_masks` holds one atom mask per ambient factor."""
+
+    __slots__ = ()
+
+    def __init__(self, epsilon: ProductElem, field: FieldClass, atom_masks: tuple,
+                 atom_total: int):
+        _set(self, "_key", (epsilon, field, atom_masks, atom_total))
 
 
-@dataclass(frozen=True)
-class StructureWitness:
-    subring_size: int
-    blocks: tuple  # WitnessBlock
+class StructureWitness(Record):
+    __slots__ = ()
+
+    def __init__(self, subring_size: int, blocks: tuple):     # of WitnessBlock
+        _set(self, "_key", (subring_size, blocks))
 
 
 def structure_decompose(pres: SubringPresentation, cap: int = SUBRING_CAP):
@@ -590,12 +595,12 @@ def iso_test(p1: SubringPresentation, p2: SubringPresentation, cap: int = SUBRIN
 # characteristic decomposition
 
 
-@dataclass(frozen=True)
-class CharBlock:
-    prime: int
-    idempotent: ProductElem
-    subring: ProductRing
-    factor_indices: tuple
+class CharBlock(Record):
+    __slots__ = ()
+
+    def __init__(self, prime: int, idempotent: ProductElem, subring: ProductRing,
+                 factor_indices: tuple):
+        _set(self, "_key", (prime, idempotent, subring, factor_indices))
 
 
 def ring_char(ring_or_pres) -> int:

@@ -39,11 +39,11 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 
 from .boolean import BooleanRing, BoolElem
 from .errors import CapExceeded, VerificationError
 from .fields import FieldElem, FiniteField
+from .record import Record, _set
 
 ENUM_CAP = 1 << 20
 PRODUCT_CHECK_CAP = 4096
@@ -454,12 +454,13 @@ class StepElem:
 # convex combinations and the constructive extraction
 
 
-@dataclass(frozen=True)
-class ConvexCombination:
+class ConvexCombination(Record):
     """Coefficients (a complete orthogonal idempotent family) and values."""
 
-    coeffs: tuple
-    values: tuple
+    __slots__ = ()
+
+    def __init__(self, coeffs: tuple, values: tuple):
+        _set(self, "_key", (coeffs, values))
 
     def evaluate(self, ring):
         return ring.convex(self.coeffs, self.values)
@@ -507,15 +508,15 @@ def extract_combination(x: StepElem, gens) -> ConvexCombination:
 # the finite-cover witness check
 
 
-@dataclass(frozen=True)
-class CoverReport:
-    """Outcome of checking that a family covers every residue field."""
+class CoverReport(Record):
+    """Outcome of checking that a family covers every residue field.
+    `missing` holds (atom, missing value) pairs, or (factor, atom, value)."""
 
-    ok: bool
-    missing: tuple  # (atom, missing value) pairs, or (factor, atom, value)
-    product_ok: bool
-    product_exhaustive: bool
-    product_checked: int
+    __slots__ = ()
+
+    def __init__(self, ok: bool, missing: tuple, product_ok: bool, product_exhaustive: bool,
+                 product_checked: int):
+        _set(self, "_key", (ok, missing, product_ok, product_exhaustive, product_checked))
 
     def __bool__(self):
         return self.ok

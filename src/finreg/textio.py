@@ -24,7 +24,6 @@ import re
 from .boolean import BooleanRing, BoolElem
 from .errors import ParseError
 from .fields import GF, FiniteField
-from .polymaps import MapTable, PolyMap
 from .products import ProductElem, ProductRing, RingSignature
 from .stepfun import StepElem, StepRing
 
@@ -196,6 +195,8 @@ def parse_signature(text: str) -> RingSignature:
 
 
 def parse_polymap(ring: ProductRing, text: str) -> PolyMap:
+    from .polymaps import PolyMap
+
     s = text.strip()
     if not (s.startswith("poly[") and s.endswith("]")):
         raise ParseError(f"bad polynomial {text!r}", text, 0)
@@ -207,6 +208,8 @@ def parse_polymap(ring: ProductRing, text: str) -> PolyMap:
 
 
 def parse_map_lines(ring: ProductRing, lines) -> MapTable:
+    from .polymaps import MapTable
+
     mapping = {}
     for line in lines:
         line = line.strip()

@@ -307,6 +307,43 @@ def test_undecided_primality_is_a_cap(capsys, spec):
     assert "not decided" in err and "Traceback" not in err
 
 
+HELP_DIGESTS = [      # SHA-256 of `--help` stdout at 80 columns, recorded before lazy imports
+    ("", "0bc768bcb5456ef66ce69f19cc37d34e5e74685d1bf44a774afe7b8971451e5b"),
+    ("ring", "08dd2db2d2f442c59d398cdac5ff799ae7fbbf77bfab7c593974dd9eed65aff2"),
+    ("ring new", "7fc29a5c083f7664d9e44847b8ae18d72b2e8e95d9c622fd75b71bfb78462b65"),
+    ("ring decompose", "370996ce3832388a1eb380f2fe36c92cd5133f34f322d90640af30a45154f850"),
+    ("ring check", "04fb2d0832487fa95396fd785be4a891974b5ac23a0760edfde0174012fab9d4"),
+    ("ring iso", "710725a4b1161dcd7bea913a9122188c7cddbce23120697e1282a8e260e1cd0f"),
+    ("map", "bccc88e192aafbf25d010524bd7507d7c0f3d9e95331b99741e8199e982ea881"),
+    ("map check", "0cd4bf6401102682cd0e90a4aad8f72b5c08d81414f4ebd252d9ef027a9c472b"),
+    ("map topoly", "ffec1b81eacb6f75420077eb93802f3dbf846ff06c145978fc24cd9fe46e8b63"),
+    ("map orbit", "7027ba2cfc067232c89f418c1b5e2c2884c5ffb1faed7b781438931fbcb913f8"),
+    ("demo", "bfc184bccb9e5053ba2f5191956a39726c4e5c647128cc36031307f2d268443d"),
+    ("demo vraciu", "f613d1d051af80f30403ab8f85fcaed5300d10d0d0aa48e55fe978eabbd9ae0b"),
+    ("demo tower", "001d22961c956cc6e5a94f1b34d2d4f6a677999dfe9a0394782e0ba0bbc55868"),
+    ("demo gf4-kernel", "e515099313cb831dd4e1dd932b6c98fe04644c7b1e9d2e92739f767608ddbe79"),
+    ("demo gf4-sequence", "0a0566d21c480642fc64b72a008547ea0a940654711202a49182f6df8a01c4fb"),
+    ("selftest", "d87fa9e8530e77f0ae74b7ba823e2d6acc454cb575a127cad9a36483deae78a9"),
+]
+
+
+@pytest.mark.parametrize("command, digest", HELP_DIGESTS, ids=[c or "finreg" for c, _ in HELP_DIGESTS])
+def test_help_text_is_byte_identical(capsys, monkeypatch, command, digest):
+    monkeypatch.setenv("COLUMNS", "80")     # argparse wraps help at the terminal width
+    with pytest.raises(SystemExit) as done:
+        main([*command.split(), "--help"])
+    assert done.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_map_orbit_cap_default_is_the_orbit_cap():
+    from finreg import polymaps
+    from finreg.cli import build_parser
+
+    args = build_parser().parse_args(["map", "orbit", "f.ws"])
+    assert args.cap == polymaps.ORBIT_CAP == 100_000
+
+
 def test_installed_entry_point():
     import os
     import subprocess

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -377,3 +378,37 @@ def test_arithmetic_matches_coefficient_oracle_sampled(p, n):
             else:
                 with pytest.raises(ZeroDivisionError):
                     x / y
+
+
+def tuple_walk_tables(K):
+    """Reference log/Zech tables: the powers of K's log base b stepped by
+    zmodpoly.mul and rem on coefficient tuples, as the builder did for odd p
+    before it stepped on indices."""
+    p, n, m = K.p, K.n, K.q - 1
+    b = K._exp[1]
+    bc = K._index_to_coeffs(b)
+
+    def index(coeffs):
+        return sum(c * p ** k for k, c in enumerate(coeffs))
+
+    exp, log = [0] * m, [m] * (m + 1)
+    v = (1,) + (0,) * (n - 1)
+    for k in range(m):
+        exp[k] = index(v)
+        log[exp[k]] = k
+        v = zp.rem(zp.mul(bc, v, p), K.modulus, p)
+        v = v + (0,) * (n - len(v))
+    assert sorted(exp) == list(range(1, m + 1))     # b is primitive,
+    assert all(math.gcd(log[i], m) > 1 for i in range(2, b))   # and the least one
+    zech = [log[index(((c[0] + 1) % p,) + c[1:])] for c in map(K._index_to_coeffs, exp)]
+    return exp, log, zech
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (3, 7),
+                                  (5, 2), (5, 3), (7, 2), (7, 3), (251, 2)])
+def test_index_log_walk_matches_the_tuple_walk(p, n):
+    K = finite_field(p, n)
+    exp, log, zech = tuple_walk_tables(K)
+    assert list(K._exp) == exp
+    assert list(K._log) == log
+    assert list(K._zech) == zech

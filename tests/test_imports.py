@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every
-private module-level name is referenced somewhere in the package."""
+"""Every module of the package uses each name it imports, none imports
+`dataclasses`, and every private module-level name is referenced somewhere
+in the package."""
 
 import ast
 from collections import Counter
@@ -28,6 +29,23 @@ def test_no_module_imports_a_name_it_never_uses():
     modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
     assert modules
     assert [entry for p in modules for entry in unused_imports(p)] == []
+
+
+def test_no_module_imports_dataclasses():
+    # importing dataclasses pulls in inspect, ast, dis and tokenize at start-up;
+    # records subclass finreg.record.Record instead
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for m in modules
+                      if m.split(".")[0] == "dataclasses"]
+    assert found == []
 
 
 def private_definitions(tree):
