@@ -21,6 +21,12 @@ quotients, inverses and powers, and a sum g^a + g^b = g^(a + Z(b - a)) is one
 Zech lookup (Lidl and Niederreiter, Finite Fields, ch. 9).  Above INTERN_CAP
 the same kernels compute on coefficient vectors.
 
+Interpolation (`interpolate_i`) is a transform over the multiplicative
+group: by Lucas' binom(q-1, k) = (-1)^k mod p, the coefficient of x^k in
+the polynomial through a table f is -sum f(a) a^(-k) over a != 0, for
+0 < k < q - 1, each term one log-table lookup; `lagrange_interpolate` wraps
+it for FieldElem tables.
+
 Subfield embeddings follow a least-root rule constrained to agree with the
 already-fixed embeddings of every maximal proper subfield, which makes the
 whole lattice of embeddings commute: embedding F1 into F3 equals embedding
@@ -31,7 +37,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product, zip_longest
 
 from . import zmodpoly as zp
@@ -464,7 +470,7 @@ def _parse_term(term, text, pos):
 
 
 # ---------------------------------------------------------------------------
-# polynomials with FieldElem coefficients (used by interpolation and the
+# polynomials with FieldElem coefficients (used by the embeddings and the
 # large-field root finder)
 
 
@@ -550,6 +556,25 @@ def fpoly_eval(coeffs, x):
 # interpolation
 
 
+def interpolate_i(field: FiniteField, values) -> list:
+    """Coefficient indices c_0, ..., c_(q-1) of the polynomial of degree < q
+    whose value at the element of index a has index values[a], on a field
+    with log tables.
+
+    From f(x) = sum_a f(a) (1 - (x - a)^(q-1)) and binom(q-1, k) = (-1)^k
+    mod p (Lucas): c_0 = f(0), c_k = -sum_(a != 0) f(a) a^(-k) for
+    0 < k < q - 1, and c_(q-1) = -sum_a f(a).  The middle coefficients are a
+    transform over the multiplicative group: f(a) a^(-k) = g^(log f(a) - k log a).
+    """
+    add, log, exp, m = field.add_i, field._log, field._exp, field.q - 1
+    terms = [(log[y], log[a]) for a, y in enumerate(values) if a and y]
+    coeffs = [values[0]]
+    for k in range(1, m):
+        coeffs.append(field.neg_i(reduce(add, [exp[(ly - k * la) % m] for ly, la in terms], 0)))
+    coeffs.append(field.neg_i(reduce(add, values, 0)))
+    return coeffs
+
+
 def lagrange_interpolate(field: FiniteField, table) -> tuple:
     """Coefficients (ascending, trailing zeros stripped) of the unique
     polynomial of degree < q matching `table` at every element of GF(q).
@@ -565,25 +590,8 @@ def lagrange_interpolate(field: FiniteField, table) -> tuple:
             raise ValueError(f"interpolation table is not total: missing {node}")
     if len(pts) != field.q:
         raise ValueError("interpolation table has keys outside the field")
-    # master = prod (X - node); basis polynomials by synthetic division
-    master = [field.one]
-    for node in nodes:
-        master = fpoly_mul(master, [-node, field.one], field)
-    out = [field.zero] * field.q
-    for node in nodes:
-        y = pts[node]
-        if not y:
-            continue
-        # master / (X - node), synthetic division
-        div = [field.zero] * field.q
-        div[field.q - 1] = master[field.q]
-        for k in range(field.q - 2, -1, -1):
-            div[k] = master[k + 1] + node * div[k + 1]
-        scale = y * fpoly_eval(div, node).inverse()
-        for k in range(field.q):
-            if div[k]:
-                out[k] = out[k] + scale * div[k]
-    return tuple(fpoly_trim(out))
+    values = [(field.zero + pts[node]).index for node in nodes]
+    return tuple(fpoly_trim(map(field.from_index, interpolate_i(field, values))))
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,13 @@ period.  The table method reads them off the functional graph of f in one
 pass: the tail from the longest path into a cycle, the period as the lcm of
 the cycle lengths.  The matrix method iterates the coefficient matrix of f
 on a generating family over the finite Boolean subring its entries generate
-(whose size is counted prime by prime); each iterate's key is, at every
-prime, the value index of the one generator its column's masks select
-there, so no ring element is built per step.
+(whose size is counted prime by prime).  Every column of every iterate is a
+complete orthogonal family, so it is its owner vector: at each prime, the
+one generator whose entry contains it.  M^(k+1) = M^k M^1 is then one lookup
+per prime and column, own'[p] = owner1[own[p]][p], and an iterate's key is
+the value of the owning generator at every prime; no ring element and no
+mask is built per step, and the certificate's mask matrices are read off the
+owner vectors at the end.
 
 A map table is the tuple of its image positions.  The ring's radix
 (`ProductRing.radix`) names an element by its position, whose digits are its
@@ -40,7 +44,7 @@ import math
 import random
 
 from .errors import CapExceeded, VerificationError
-from .fields import lagrange_interpolate
+from .fields import interpolate_i
 from .products import ProductElem, ProductRing, check_residue_cover
 from .record import Record, _set
 
@@ -292,9 +296,11 @@ def iteration_orbit(f, gens=None, cap: int = ORBIT_CAP) -> IterationCertificate:
 
     The matrix method needs f to commute with convex combinations (checked
     via contractivity) and the family to cover every residue field; it is
-    refused otherwise.  Both methods must agree.  The Boolean subring the
-    matrix entries generate has 2^c elements, c the number of distinct
-    nonzero patterns recording which entries contain each prime.
+    refused otherwise.  Both methods must agree.  The matrix iterates run
+    on owner vectors (see the module docstring) until their keys repeat.
+    The Boolean subring the matrix entries generate has 2^c elements, c the
+    number of distinct nonzero patterns recording which entries contain each
+    prime.
     """
     table = f.induced_table() if isinstance(f, PolyMap) else f
     t_size, t_tail, t_period = _table_orbit(table, cap)
@@ -310,50 +316,61 @@ def iteration_orbit(f, gens=None, cap: int = ORBIT_CAP) -> IterationCertificate:
     if not cover.ok:
         raise ValueError(f"matrix method refused: generators miss residues {cover.missing[:3]}")
     gens = tuple(ring.coerce(g) for g in gens)
-    widths = tuple(fac.atom_count for fac in ring.factors)
-    gen_values = [tuple(tuple(part.index_at(j) for j in range(w)) for part, w in zip(g.parts, widths))
-                  for g in gens]
-    # m1[j][r] = coefficient of gens[r] in f(gens[j]), the extraction's: at
-    # each prime it is set exactly when gens[r] is the first generator that
-    # takes the value of f(gens[j]) there (one does: the family covers);
-    # columns indexed by j
-    first_gen = {}      # (factor, atom, value index) -> r
-    for r, values in enumerate(gen_values):
-        for i, j in ring.prime_labels():
-            first_gen.setdefault((i, j, values[i][j]), r)
     radix = ring.radix()
-    m1 = []
-    for g in gens:
-        masks = [[0] * len(widths) for _ in gens]
-        y = table.images[ring.element_index(g)]
-        for (i, j), field, weight in radix:
-            masks[first_gen[i, j, y // weight % field.q]][i] |= 1 << j
-        m1.append(tuple(map(tuple, masks)))
-    columns = m1
-    matrices = [tuple(columns)]
+    digits = [(field.q, weight) for _, field, weight in radix]
+    positions = [ring.element_index(g) for g in gens]
+    gen_values = [[x // w % q for q, w in digits] for x in positions]
+    # owner1[j][t]: the generator M^1's column j selects at the t-th prime,
+    # the first one taking the value of f(gens[j]) there (one does: the
+    # family covers), as in the extraction
+    first_gen = {}
+    for r, values in enumerate(gen_values):
+        for t, v in enumerate(values):
+            first_gen.setdefault((t, v), r)
+    owner1 = [[first_gen[t, y // w % q] for t, (q, w) in enumerate(digits)]
+              for y in (table.images[x] for x in positions)]
+    # an iterate is the owner vectors of its columns, concatenated; at the
+    # prime of each slot, step[slot][r] is owner1[r] there and value[slot][r]
+    # the value of gens[r]
+    step = list(zip(*owner1)) * len(gens)
+    value = list(zip(*gen_values)) * len(gens)
+    owners = []         # of M^1, M^2, ... up to the first repeat
     seen = {}
-    k = 1
+    own = [r for col in owner1 for r in col]
     while True:
-        values = tuple(_column_values(col, gen_values, widths) for col in columns)
-        first = seen.get(values)
-        if first is not None:
-            m_tail = first - 1
-            m_period = k - first
+        owners.append(own)
+        first = seen.setdefault(tuple(map(tuple.__getitem__, value, own)), len(owners))
+        if first < len(owners):
             break
-        seen[values] = k
-        k += 1
-        if k > cap:
+        if len(owners) >= cap:
             raise CapExceeded(f"matrix orbit exceeded the cap {cap}")
-        columns = [_matrix_column_step(col, m1) for col in columns]
-        matrices.append(tuple(columns))
+        own = list(map(tuple.__getitem__, step, own))
+    m_tail = first - 1
+    m_period = len(owners) - first
     m_size = m_tail + m_period
     agree = m_size == t_size and m_tail == t_tail and m_period == t_period
     if not agree:
         raise VerificationError(
             f"orbit methods disagree: table {(t_size, t_tail, t_period)} vs "
             f"matrix {(m_size, m_tail, m_period)}")
-    bool_size = boolean_subring_size([prof for col in m1 for prof in col], ring)
-    return IterationCertificate(t_size, t_tail, t_period, gens, tuple(matrices), bool_size, True)
+    # the mask matrices, built once per distinct column
+    labels = [(i, 1 << j) for (i, j), _, _ in radix]
+    columns = [[tuple(own[c:c + len(radix)]) for c in range(0, len(own), len(radix))]
+               for own in owners]
+    masks = {col: _column_masks(col, labels, len(gens), len(ring.factors))
+             for col in set(itertools.chain.from_iterable(columns))}
+    matrices = tuple(tuple(map(masks.__getitem__, cols)) for cols in columns)
+    bool_size = boolean_subring_size([prof for col in matrices[0] for prof in col], ring)
+    return IterationCertificate(t_size, t_tail, t_period, gens, matrices, bool_size, True)
+
+
+def _column_masks(own, labels, count, width):
+    """The matrix column with owner vector own: per generator, per factor,
+    the mask of the primes it owns."""
+    masks = [[0] * width for _ in range(count)]
+    for (i, bit), r in zip(labels, own):
+        masks[r][i] |= bit
+    return tuple(map(tuple, masks))
 
 
 def _table_orbit(table: MapTable, cap: int):
@@ -391,45 +408,6 @@ def _table_orbit(table: MapTable, cap: int):
     if tail + period > cap:
         raise CapExceeded(f"table orbit exceeded the cap {cap}")
     return tail + period, tail, period
-
-
-def _column_values(col, gen_values, widths):
-    """Per factor, the value index at every atom of sum_r col[r] * gens[r]:
-    at each prime, the value of the one generator whose mask covers it.
-    Raises VerificationError unless col is a complete orthogonal family."""
-    out = []
-    for i, width in enumerate(widths):
-        row = [None] * width
-        for prof, values in zip(col, gen_values):
-            m = prof[i]
-            while m:
-                low = m & -m
-                j = low.bit_length() - 1
-                if row[j] is not None:
-                    raise VerificationError(f"matrix column {col} has overlapping masks")
-                row[j] = values[i][j]
-                m ^= low
-        if None in row:
-            raise VerificationError(f"matrix column {col} does not cover every prime")
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _matrix_column_step(col, m1):
-    # next column t-entry: union over r of col[r] & m1[r][t]; the terms are
-    # disjoint because col is a complete orthogonal family, so only its
-    # nonzero entries contribute
-    rows = [(prof, m1[r]) for r, prof in enumerate(col) if any(prof)]
-    width = len(col[0])
-    out = []
-    for t in range(len(col)):
-        masks = [0] * width
-        for prof, row in rows:
-            prof_rt = row[t]
-            for i in range(width):
-                masks[i] |= prof[i] & prof_rt[i]
-        out.append(tuple(masks))
-    return tuple(out)
 
 
 def boolean_subring_size(profiles, ring) -> int:
@@ -501,10 +479,10 @@ def quotient_order_bound(ring: ProductRing, degree: int) -> BoundReport:
 def contractive_to_polynomial(f: MapTable) -> PolyMap:
     """Interpolate a contractive table into an explicit polynomial.
 
-    At each prime, Lagrange-interpolate the function f induces there (read
-    off the images of the elements whose other digits are 0); coefficient d
-    is the element whose digit at each prime is that prime's d-th
-    coefficient.  The polynomial's table must equal f's before return.
+    At each prime, interpolate the function f induces there (read off the
+    images of the elements whose other digits are 0), once per distinct value
+    table; coefficient d is the element whose digit at each prime is that
+    prime's d-th coefficient.  The polynomial's table must equal f's before return.
     """
     ok, witness = is_contractive(f)
     if not ok:
@@ -514,13 +492,13 @@ def contractive_to_polynomial(f: MapTable) -> PolyMap:
     elems = ring.cached_elements(len(images))
     radix = ring.radix()
     degree = max(fac.field.q for fac in ring.factors)
-    digits = []     # per prime, the coefficients' value indices, padded to the degree
+    found = {}      # value table (its length names the field) -> padded coefficient indices
+    digits = []     # per prime, the coefficients' value indices
     for _, field, weight in radix:
-        q = field.q
-        row = {field.from_index(v): field.from_index(images[v * weight] // weight % q)
-               for v in range(q)}
-        coeffs = [c.index for c in lagrange_interpolate(field, row)]
-        digits.append(coeffs + [0] * (degree - len(coeffs)))
+        row = tuple(images[v * weight] // weight % field.q for v in range(field.q))
+        if row not in found:
+            found[row] = interpolate_i(field, row) + [0] * (degree - field.q)
+        digits.append(found[row])
     poly = PolyMap(ring, [elems[sum(cs[d] * weight for cs, (_, _, weight) in zip(digits, radix))]
                           for d in range(degree)])
     got = poly.induced_table().images

@@ -49,7 +49,7 @@ class ProductRing:
     Interned on the tuple of StepRing factors, so ring equality is identity.
     """
 
-    __slots__ = ("factors", "_elem_list")
+    __slots__ = ("factors", "_elem_list", "_radix")
 
     def __new__(cls, factors):
         norm = []
@@ -69,6 +69,7 @@ class ProductRing:
             ring = _PRODUCT_RINGS[key] = super().__new__(cls)
             ring.factors = key
             ring._elem_list = None
+            ring._radix = None
         return ring
 
     def __str__(self):
@@ -169,13 +170,16 @@ class ProductRing:
     def radix(self):
         """(label, field, weight) for every prime in element order, the
         factors' own radices shifted past the earlier factors:
-        element_index(x) == sum(x.index_at(label) * weight)."""
-        out = []
-        offset = 1
-        for i, f in enumerate(self.factors):
-            out.extend(((i, j), field, offset * weight) for j, field, weight in f.radix())
-            offset *= f.size
-        return tuple(out)
+        element_index(x) == sum(x.index_at(label) * weight).  Built once
+        per ring."""
+        if self._radix is None:
+            out = []
+            offset = 1
+            for i, f in enumerate(self.factors):
+                out.extend(((i, j), field, offset * weight) for j, field, weight in f.radix())
+                offset *= f.size
+            self._radix = tuple(out)
+        return self._radix
 
     def element_index(self, x: "ProductElem") -> int:
         return sum(x.index_at(label) * weight for label, _, weight in self.radix())

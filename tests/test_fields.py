@@ -6,8 +6,8 @@ import pytest
 
 from finreg import zmodpoly as zp
 from finreg.errors import CapExceeded, ParseError
-from finreg.fields import (GF, INTERN_CAP, finite_field, field_embedding, field_roots,
-                           fpoly_eval, lagrange_interpolate)
+from finreg.fields import (GF, INTERN_CAP, INTERP_CAP, finite_field, field_embedding, field_roots,
+                           fpoly_eval, fpoly_mul, fpoly_trim, interpolate_i, lagrange_interpolate)
 
 
 def test_prime_field_moduli():
@@ -249,6 +249,79 @@ def test_lagrange_partial_table_rejected():
     K = GF(4)
     with pytest.raises(ValueError):
         lagrange_interpolate(K, {K.zero: K.zero})
+
+
+def lagrange_by_master_polynomial(field, table):
+    """The reference for interpolate_i: sum over the nodes of y times the
+    basis polynomial master / (X - node), scaled to 1 at the node, with
+    master = prod (X - node) and the quotients by synthetic division."""
+    pts = dict(table)
+    nodes = [field.from_index(i) for i in range(field.q)]
+    for node in nodes:
+        if node not in pts:
+            raise ValueError(f"interpolation table is not total: missing {node}")
+    if len(pts) != field.q:
+        raise ValueError("interpolation table has keys outside the field")
+    master = [field.one]
+    for node in nodes:
+        master = fpoly_mul(master, [-node, field.one], field)
+    out = [field.zero] * field.q
+    for node in nodes:
+        y = pts[node]
+        if not y:
+            continue
+        div = [field.zero] * field.q
+        div[field.q - 1] = master[field.q]
+        for k in range(field.q - 2, -1, -1):
+            div[k] = master[k + 1] + node * div[k + 1]
+        scale = y * fpoly_eval(div, node).inverse()
+        for k in range(field.q):
+            if div[k]:
+                out[k] = out[k] + scale * div[k]
+    return tuple(fpoly_trim(out))
+
+
+def assert_transform_matches_the_reference(K, values):
+    table = {K.from_index(a): K.from_index(y) for a, y in enumerate(values)}
+    want = lagrange_by_master_polynomial(K, table)
+    got = interpolate_i(K, values)
+    assert len(got) == K.q
+    assert tuple(fpoly_trim(map(K.from_index, got))) == want
+    assert lagrange_interpolate(K, table) == want
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_interpolation_transform_matches_the_master_polynomial_exhaustively(q):
+    K = GF(q)
+    for values in itertools.product(range(q), repeat=q):
+        assert_transform_matches_the_reference(K, values)
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 11, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128, 243, 256])
+def test_interpolation_transform_matches_the_master_polynomial_sampled(q):
+    K = GF(q)
+    rng = random.Random(f"interp:{q}")
+    few = rng.sample(range(q), 3)
+    # random tables (more on the small fields), a sparse one and a constant one
+    samples = [[rng.randrange(q) for _ in range(q)] for _ in range(13 if q <= 32 else 1)]
+    samples.append([rng.choice(few) if rng.random() < 0.1 else 0 for _ in range(q)])
+    samples.append([rng.randrange(q)] * q)
+    for values in samples:
+        assert_transform_matches_the_reference(K, values)
+
+
+def test_interpolation_wrapper_keeps_its_checks():
+    K = GF(4)
+    full = {x: x for x in K.elements()}
+    for table in ({K.zero: K.zero}, {**full, GF(2).one: K.one}):
+        with pytest.raises(ValueError) as got:
+            lagrange_interpolate(K, table)
+        with pytest.raises(ValueError) as want:
+            lagrange_by_master_polynomial(K, table)
+        assert str(got.value) == str(want.value)
+    big = GF(8192)
+    with pytest.raises(CapExceeded, match=f"interpolation over GF\\(8192\\) exceeds the cap {INTERP_CAP}"):
+        lagrange_interpolate(big, {})
 
 
 def test_element_printing_and_parsing():

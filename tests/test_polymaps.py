@@ -7,8 +7,9 @@ from finreg import polymaps
 from finreg.errors import CapExceeded, VerificationError
 from finreg.fields import GF
 from finreg.products import ProductElem, ProductRing, extract_combination
-from finreg.polymaps import (CONV_CHECK_BUDGET, TABLE_RING_CAP, MapTable, PolyMap,
-                             _column_values, boolean_subring_size, commutes_with_conv,
+from finreg.polymaps import (CONV_CHECK_BUDGET, ORBIT_CAP, TABLE_RING_CAP,
+                             IterationCertificate, MapTable, PolyMap,
+                             boolean_subring_size, commutes_with_conv,
                              contractive_maps, contractive_to_polynomial,
                              is_contractive, is_polynomial, iteration_orbit,
                              polynomial_witness_bruteforce,
@@ -157,6 +158,81 @@ def table_orbit_by_composition(table, cap):
             raise CapExceeded(f"table orbit exceeded the cap {cap}")
         cur = cur.then(table)
         k += 1
+
+
+def _column_values(col, gen_values, widths):
+    """Per factor, the value index at every atom of sum_r col[r] * gens[r]:
+    at each prime, the value of the one generator whose mask covers it.
+    Raises VerificationError unless col is a complete orthogonal family."""
+    out = []
+    for i, width in enumerate(widths):
+        row = [None] * width
+        for prof, values in zip(col, gen_values):
+            m = prof[i]
+            while m:
+                low = m & -m
+                j = low.bit_length() - 1
+                if row[j] is not None:
+                    raise VerificationError(f"matrix column {col} has overlapping masks")
+                row[j] = values[i][j]
+                m ^= low
+        if None in row:
+            raise VerificationError(f"matrix column {col} does not cover every prime")
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _matrix_column_step(col, m1):
+    # next column t-entry: union over r of col[r] & m1[r][t]; the terms are
+    # disjoint because col is a complete orthogonal family, so only its
+    # nonzero entries contribute
+    rows = [(prof, m1[r]) for r, prof in enumerate(col) if any(prof)]
+    width = len(col[0])
+    out = []
+    for t in range(len(col)):
+        masks = [0] * width
+        for prof, row in rows:
+            prof_rt = row[t]
+            for i in range(width):
+                masks[i] |= prof[i] & prof_rt[i]
+        out.append(tuple(masks))
+    return tuple(out)
+
+
+def mask_product_certificate(table, gens, cap=ORBIT_CAP, step=_matrix_column_step):
+    """The reference for iteration_orbit with a covering family: M^1 from
+    the extraction rows, M^(k+1) = M^k M^1 by mask products column by
+    column, each iterate keyed by the value indices its columns select, the
+    table orbit by composition and the Boolean subring by closure."""
+    ring = table.ring
+    gens = tuple(ring.coerce(g) for g in gens)
+    widths = tuple(fac.atom_count for fac in ring.factors)
+    gen_values = [tuple(tuple(part.index_at(j) for j in range(w)) for part, w in zip(g.parts, widths))
+                  for g in gens]
+    m1 = first_matrix_by_extraction(table, gens)
+    columns = m1
+    matrices = [m1]
+    seen = {}
+    k = 1
+    while True:
+        values = tuple(_column_values(col, gen_values, widths) for col in columns)
+        first = seen.get(values)
+        if first is not None:
+            tail, period = first - 1, k - first
+            break
+        seen[values] = k
+        k += 1
+        if k > cap:
+            raise CapExceeded(f"matrix orbit exceeded the cap {cap}")
+        columns = tuple(step(col, m1) for col in columns)
+        matrices.append(columns)
+    by_table = table_orbit_by_composition(table, cap)
+    if by_table != (tail + period, tail, period):
+        raise VerificationError(f"orbit methods disagree: table {by_table} vs "
+                                f"matrix {(tail + period, tail, period)}")
+    closure = _boolean_closure([prof for col in m1 for prof in col], ring)
+    return IterationCertificate(tail + period, tail, period, gens, tuple(matrices),
+                                len(closure), True)
 
 
 def convex_key(ring, gens, columns):
@@ -344,11 +420,11 @@ def test_index_key_matches_the_convex_combination_key():
         assert len(set(old_keys[:k])) == len(set(new_keys[:k])) == k == cert.tail + cert.period
 
 
-def test_matrix_orbit_rejects_a_column_that_is_no_partition(monkeypatch):
+def test_matrix_orbit_rejects_a_column_that_is_no_partition():
     ring = P((2, 2), (3, 1))
     gens = [ring.scalar_at(i, k) for i, f in enumerate(ring.factors) for k in f.field.elements()]
-    f = PolyMap(ring, [ring.one, ring.one])
-    iteration_orbit(f, gens=gens)
+    table = PolyMap(ring, [ring.one, ring.one]).induced_table()
+    assert mask_product_certificate(table, gens) == iteration_orbit(table, gens=gens)
     gen_values = [tuple(tuple(part.index_at(j) for j in range(f_.atom_count))
                         for part, f_ in zip(g.parts, ring.factors)) for g in gens]
     full = (0b11, 0b1)
@@ -357,9 +433,8 @@ def test_matrix_orbit_rejects_a_column_that_is_no_partition(monkeypatch):
     for col in (overlap, gap):
         with pytest.raises(VerificationError):
             _column_values(col, gen_values, (2, 1))
-        monkeypatch.setattr(polymaps, "_matrix_column_step", lambda _col, _m1, col=col: col)
         with pytest.raises(VerificationError, match="matrix column"):
-            iteration_orbit(f, gens=gens)
+            mask_product_certificate(table, gens, step=lambda _col, _m1, col=col: col)
 
 
 def test_support_exponent_examples():
@@ -646,6 +721,24 @@ def test_first_matrix_matches_the_extraction_rows(shape):
         table = random_polymap(ring, rng).induced_table()
         cert = iteration_orbit(table, gens=gens)
         assert cert.matrices[0] == first_matrix_by_extraction(table, cert.generators)
+
+
+@pytest.mark.parametrize("shape", [((2, 3),), ((3, 2),), ((4, 2),), ((2, 2), (3, 1)),
+                                   ((2, 1), (4, 1), (3, 1))], ids=str)
+def test_owner_vector_orbit_matches_the_mask_products(shape):
+    ring = P(*shape)
+    rng = random.Random(f"owners:{shape}")
+    for gens in covering_families(ring, rng, 12):
+        table = random_polymap(ring, rng).induced_table()
+        cert = iteration_orbit(table, gens=gens)
+        assert cert == mask_product_certificate(table, gens)
+        # one step short, the matrix orbit hits the cap where the mask products do
+        cap = len(cert.matrices) - 1
+        with pytest.raises(CapExceeded) as got:
+            iteration_orbit(table, gens=gens, cap=cap)
+        with pytest.raises(CapExceeded) as want:
+            mask_product_certificate(table, gens, cap=cap)
+        assert str(got.value) == str(want.value) == f"matrix orbit exceeded the cap {cap}"
 
 
 def test_tampered_polynomial_is_caught_at_the_first_disagreeing_entry(monkeypatch):
