@@ -590,7 +590,9 @@ def lagrange_interpolate(field: FiniteField, table) -> tuple:
             raise ValueError(f"interpolation table is not total: missing {node}")
     if len(pts) != field.q:
         raise ValueError("interpolation table has keys outside the field")
-    values = [(field.zero + pts[node]).index for node in nodes]
+    # any zero counts as 0, an integer is a prime-field value, and a nonzero
+    # value of another field raises `mixed fields`
+    values = [(pts[node] * field.one).index if pts[node] else 0 for node in nodes]
     return tuple(fpoly_trim(map(field.from_index, interpolate_i(field, values))))
 
 

@@ -22,10 +22,11 @@ on a generating family over the finite Boolean subring its entries generate
 (whose size is counted prime by prime).  Every column of every iterate is a
 complete orthogonal family, so it is its owner vector: at each prime, the
 one generator whose entry contains it.  M^(k+1) = M^k M^1 is then one lookup
-per prime and column, own'[p] = owner1[own[p]][p], and an iterate's key is
-the value of the owning generator at every prime; no ring element and no
-mask is built per step, and the certificate's mask matrices are read off the
-owner vectors at the end.
+per prime and column, own'[p] = owner1[own[p]][p].  Every owner is the
+first generator with its value at its prime, so two iterates are equal
+exactly when their owner vectors are; no ring element and no mask is built
+per step, and the certificate's mask matrices are read off the owner vectors
+at the end.
 
 A map table is the tuple of its image positions.  The ring's radix
 (`ProductRing.radix`) names an element by its position, whose digits are its
@@ -297,7 +298,7 @@ def iteration_orbit(f, gens=None, cap: int = ORBIT_CAP) -> IterationCertificate:
     The matrix method needs f to commute with convex combinations (checked
     via contractivity) and the family to cover every residue field; it is
     refused otherwise.  Both methods must agree.  The matrix iterates run
-    on owner vectors (see the module docstring) until their keys repeat.
+    on owner vectors (see the module docstring) until they repeat.
     The Boolean subring the matrix entries generate has 2^c elements, c the
     number of distinct nonzero patterns recording which entries contain each
     prime.
@@ -322,29 +323,25 @@ def iteration_orbit(f, gens=None, cap: int = ORBIT_CAP) -> IterationCertificate:
     gen_values = [[x // w % q for q, w in digits] for x in positions]
     # owner1[j][t]: the generator M^1's column j selects at the t-th prime,
     # the first one taking the value of f(gens[j]) there (one does: the
-    # family covers), as in the extraction
+    # family covers), as in the extraction.  Every later owner is an entry
+    # of owner1, so the owner vectors key the iterates.
     first_gen = {}
     for r, values in enumerate(gen_values):
         for t, v in enumerate(values):
             first_gen.setdefault((t, v), r)
-    owner1 = [[first_gen[t, y // w % q] for t, (q, w) in enumerate(digits)]
+    owner1 = [tuple(first_gen[t, y // w % q] for t, (q, w) in enumerate(digits))
               for y in (table.images[x] for x in positions)]
-    # an iterate is the owner vectors of its columns, concatenated; at the
-    # prime of each slot, step[slot][r] is owner1[r] there and value[slot][r]
-    # the value of gens[r]
-    step = list(zip(*owner1)) * len(gens)
-    value = list(zip(*gen_values)) * len(gens)
-    owners = []         # of M^1, M^2, ... up to the first repeat
+    owners = []         # M^1, M^2, ... up to the first repeat, as owner vectors per column
     seen = {}
-    own = [r for col in owner1 for r in col]
+    own = owner1
     while True:
         owners.append(own)
-        first = seen.setdefault(tuple(map(tuple.__getitem__, value, own)), len(owners))
+        first = seen.setdefault(tuple(own), len(owners))
         if first < len(owners):
             break
         if len(owners) >= cap:
             raise CapExceeded(f"matrix orbit exceeded the cap {cap}")
-        own = list(map(tuple.__getitem__, step, own))
+        own = [tuple(owner1[r][t] for t, r in enumerate(col)) for col in own]
     m_tail = first - 1
     m_period = len(owners) - first
     m_size = m_tail + m_period
@@ -353,13 +350,11 @@ def iteration_orbit(f, gens=None, cap: int = ORBIT_CAP) -> IterationCertificate:
         raise VerificationError(
             f"orbit methods disagree: table {(t_size, t_tail, t_period)} vs "
             f"matrix {(m_size, m_tail, m_period)}")
-    # the mask matrices, built once per distinct column
     labels = [(i, 1 << j) for (i, j), _, _ in radix]
-    columns = [[tuple(own[c:c + len(radix)]) for c in range(0, len(own), len(radix))]
-               for own in owners]
+    # the mask matrices, built once per distinct column
     masks = {col: _column_masks(col, labels, len(gens), len(ring.factors))
-             for col in set(itertools.chain.from_iterable(columns))}
-    matrices = tuple(tuple(map(masks.__getitem__, cols)) for cols in columns)
+             for col in set(itertools.chain.from_iterable(owners))}
+    matrices = tuple(tuple(map(masks.__getitem__, own)) for own in owners)
     bool_size = boolean_subring_size([prof for col in matrices[0] for prof in col], ring)
     return IterationCertificate(t_size, t_tail, t_period, gens, matrices, bool_size, True)
 
@@ -480,9 +475,8 @@ def contractive_to_polynomial(f: MapTable) -> PolyMap:
     """Interpolate a contractive table into an explicit polynomial.
 
     At each prime, interpolate the function f induces there (read off the
-    images of the elements whose other digits are 0), once per distinct value
-    table; coefficient d is the element whose digit at each prime is that
-    prime's d-th coefficient.  The polynomial's table must equal f's before return.
+    images of the elements whose other digits are 0); coefficient d is the
+    element whose digit at each prime is that prime's d-th coefficient.  The polynomial's table must equal f's before return.
     """
     ok, witness = is_contractive(f)
     if not ok:
@@ -492,13 +486,10 @@ def contractive_to_polynomial(f: MapTable) -> PolyMap:
     elems = ring.cached_elements(len(images))
     radix = ring.radix()
     degree = max(fac.field.q for fac in ring.factors)
-    found = {}      # value table (its length names the field) -> padded coefficient indices
     digits = []     # per prime, the coefficients' value indices
     for _, field, weight in radix:
-        row = tuple(images[v * weight] // weight % field.q for v in range(field.q))
-        if row not in found:
-            found[row] = interpolate_i(field, row) + [0] * (degree - field.q)
-        digits.append(found[row])
+        row = [images[v * weight] // weight % field.q for v in range(field.q)]
+        digits.append(interpolate_i(field, row) + [0] * (degree - field.q))
     poly = PolyMap(ring, [elems[sum(cs[d] * weight for cs, (_, _, weight) in zip(digits, radix))]
                           for d in range(degree)])
     got = poly.induced_table().images

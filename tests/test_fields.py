@@ -319,6 +319,17 @@ def test_interpolation_wrapper_keeps_its_checks():
         with pytest.raises(ValueError) as want:
             lagrange_by_master_polynomial(K, table)
         assert str(got.value) == str(want.value)
+    # values: a zero of another field is skipped like any zero, a nonzero one
+    # is refused with the reference's text, and integers are prime-field values
+    for table in ({**full, K.zero: GF(2).zero}, {**full, K.generator: GF(2).zero},
+                  {x: 1 for x in full}, {**full, K.one: 3}):
+        assert lagrange_interpolate(K, table) == lagrange_by_master_polynomial(K, table)
+    for table in ({**full, K.one: GF(2).one}, {**full, K.generator: GF(8).generator}):
+        with pytest.raises(ValueError) as got:
+            lagrange_interpolate(K, table)
+        with pytest.raises(ValueError) as want:
+            lagrange_by_master_polynomial(K, table)
+        assert str(got.value) == str(want.value)
     big = GF(8192)
     with pytest.raises(CapExceeded, match=f"interpolation over GF\\(8192\\) exceeds the cap {INTERP_CAP}"):
         lagrange_interpolate(big, {})
